@@ -11,8 +11,8 @@
 
 namespace {
 
-void run_target(const std::vector<titan::parse::ParsedEvent>& train,
-                const std::vector<titan::parse::ParsedEvent>& eval,
+void run_target(const titan::analysis::EventFrame& train,
+                const titan::analysis::EventFrame& eval,
                 titan::xid::ErrorKind target, double horizon_s) {
   using namespace titan;
   const auto predictor = analysis::FailurePredictor::fit(train, target, horizon_s);
@@ -41,11 +41,13 @@ int main() {
 
   // 14-month training slice / 7-month evaluation slice.
   const auto split = stats::month_start(study.config.period.begin, 14);
-  std::vector<parse::ParsedEvent> train;
-  std::vector<parse::ParsedEvent> eval;
+  std::vector<parse::ParsedEvent> train_rows;
+  std::vector<parse::ParsedEvent> eval_rows;
   for (const auto& e : events) {
-    (e.time < split ? train : eval).push_back(e);
+    (e.time < split ? train_rows : eval_rows).push_back(e);
   }
+  const auto train = analysis::EventFrame::build(train_rows);
+  const auto eval = analysis::EventFrame::build(eval_rows);
   std::printf("  training events: %zu   evaluation events: %zu\n", train.size(), eval.size());
 
   bench::print_header("Extension -- predicting XID 43 (GPU stopped processing)");

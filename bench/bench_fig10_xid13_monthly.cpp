@@ -8,17 +8,18 @@ int main() {
   using namespace titan;
   const auto& study = bench::full_study();
   const auto& events = bench::full_events();
+  const auto& frame = bench::full_frame();
   const auto& period = study.config.period;
 
   bench::print_header("Fig. 10 -- Monthly frequency of XID 13 (graphics engine exception)");
   const auto series = analysis::monthly_frequency(
-      events, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
+      frame, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
   bench::print_block(render::bar_chart(series.labels(), series.counts));
   std::printf("  total raw XID 13 lines: %llu (reported on every node of a job)\n",
               static_cast<unsigned long long>(series.total()));
 
   const double dispersion = analysis::daily_dispersion_index(
-      events, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
+      frame, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
   bench::print_row("daily dispersion index", "bursty (>> 1)", render::fmt_double(dispersion, 1));
 
   // Deadline weeks vs normal weeks.

@@ -29,11 +29,15 @@ double parity_contrast(const Grid2D& grid) {
 
 int main() {
   using namespace titan;
-  const auto& events = bench::full_events();
-  const auto xid13 = analysis::of_kind(events, xid::ErrorKind::kGraphicsEngineException);
+  const auto& frame = bench::full_frame();
+  std::vector<parse::ParsedEvent> xid13;
+  for (const auto row : frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
+    xid13.push_back(frame.row(row));
+  }
 
   bench::print_header("Fig. 12 (top) -- XID 13, no filtering (all node reports)");
-  const auto grid_all = analysis::cabinet_heatmap(xid13, xid::ErrorKind::kGraphicsEngineException);
+  const auto grid_all =
+      analysis::cabinet_heatmap(frame, xid::ErrorKind::kGraphicsEngineException);
   bench::print_block(render::heatmap(grid_all));
   std::printf("  events: %.0f   even/odd column contrast: %.2f\n", grid_all.total(),
               parity_contrast(grid_all));
@@ -42,14 +46,16 @@ int main() {
 
   bench::print_header("Fig. 12 (middle) -- 5 s roots (one event per job)");
   const auto grid_roots =
-      analysis::cabinet_heatmap(filtered.roots, xid::ErrorKind::kGraphicsEngineException);
+      analysis::cabinet_heatmap(analysis::EventFrame::build(filtered.roots),
+                                xid::ErrorKind::kGraphicsEngineException);
   bench::print_block(render::heatmap(grid_roots));
   std::printf("  roots: %.0f   contrast: %.2f (uneven: debug jobs cluster)\n",
               grid_roots.total(), parity_contrast(grid_roots));
 
   bench::print_header("Fig. 12 (bottom) -- children inside the 5 s window");
   const auto grid_children =
-      analysis::cabinet_heatmap(filtered.children, xid::ErrorKind::kGraphicsEngineException);
+      analysis::cabinet_heatmap(analysis::EventFrame::build(filtered.children),
+                                xid::ErrorKind::kGraphicsEngineException);
   bench::print_block(render::heatmap(grid_children));
   std::printf("  children: %.0f   contrast: %.2f\n", grid_children.total(),
               parity_contrast(grid_children));

@@ -6,8 +6,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <span>
-#include <type_traits>
 
 #include "analysis/event_frame.hpp"
 #include "analysis/events_view.hpp"
@@ -196,11 +194,8 @@ void BM_EventFrameBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_EventFrameBuild)->Unit(benchmark::kMillisecond);
 
-/// The paper's core analysis battery, parameterized over the event source
-/// so the legacy span path and the frame path run identical work.
-template <typename Stream>
-void run_analysis_suite(const Stream& stream, const core::StudyDataset& data,
-                        const gpu::FleetLedger& ledger) {
+/// The paper's core analysis battery over a prebuilt frame.
+void run_analysis_suite(const analysis::EventFrame& stream, const core::StudyDataset& data) {
   const auto begin = data.config.period.begin;
   const auto end = data.config.period.end;
   constexpr std::array kKinds = {
@@ -220,11 +215,7 @@ void run_analysis_suite(const Stream& stream, const core::StudyDataset& data,
     benchmark::DoNotOptimize(analysis::cabinet_heatmap(stream, kind));
   }
   for (const auto kind : {xid::ErrorKind::kDoubleBitError, xid::ErrorKind::kOffTheBus}) {
-    if constexpr (std::is_same_v<Stream, analysis::EventFrame>) {
-      benchmark::DoNotOptimize(analysis::cage_distribution(stream, kind));
-    } else {
-      benchmark::DoNotOptimize(analysis::cage_distribution(stream, kind, ledger));
-    }
+    benchmark::DoNotOptimize(analysis::cage_distribution(stream, kind));
     benchmark::DoNotOptimize(analysis::structure_breakdown(stream, kind));
   }
   const auto kinds = analysis::fig13_kinds();
@@ -236,25 +227,13 @@ void run_analysis_suite(const Stream& stream, const core::StudyDataset& data,
   benchmark::DoNotOptimize(analysis::mtbf_report(stream, begin, end));
 }
 
-void BM_AnalysisSuiteLegacy(benchmark::State& state) {
-  // Every analysis re-scans (and re-copies slices of) the raw parsed
-  // stream -- the pre-frame cost model.
-  const auto& data = perf_dataset();
-  const std::span<const parse::ParsedEvent> events{perf_events()};
-  for (auto _ : state) {
-    run_analysis_suite(events, data, data.fleet.ledger());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(perf_events().size()));
-}
-BENCHMARK(BM_AnalysisSuiteLegacy)->Unit(benchmark::kMillisecond);
-
 void BM_AnalysisSuiteFrame(benchmark::State& state) {
-  // Same battery against the prebuilt columnar index (build cost measured
+  // The battery against the prebuilt columnar index (build cost measured
   // separately by BM_EventFrameBuild).
   const auto& data = perf_dataset();
   const auto& frame = perf_frame();
   for (auto _ : state) {
-    run_analysis_suite(frame, data, data.fleet.ledger());
+    run_analysis_suite(frame, data);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frame.size()));
 }
@@ -274,7 +253,7 @@ void BM_FullStudyEndToEnd(benchmark::State& state) {
     const auto t1 = std::chrono::steady_clock::now();
     const auto events = analysis::as_parsed(data.events);
     const auto frame = analysis::EventFrame::build(events, &data.fleet.ledger());
-    run_analysis_suite(frame, data, data.fleet.ledger());
+    run_analysis_suite(frame, data);
     const auto t2 = std::chrono::steady_clock::now();
     simulate_s += std::chrono::duration<double>(t1 - t0).count();
     analysis_s += std::chrono::duration<double>(t2 - t1).count();

@@ -12,8 +12,8 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
-#include "analysis/events_view.hpp"
 #include "core/facility.hpp"
 #include "ingest/corrupt.hpp"
 #include "parse/filter.hpp"
@@ -72,8 +72,10 @@ int main(int argc, char** argv) {
   std::fputs(report.text().c_str(), stdout);
 
   std::printf("\n=== Observation 8 hunt: XID 13 repeat offenders per node ===\n");
-  const auto xid13 =
-      analysis::of_kind(context.events, xid::ErrorKind::kGraphicsEngineException);
+  std::vector<parse::ParsedEvent> xid13;
+  for (const auto row : context.frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
+    xid13.push_back(context.frame.row(row));
+  }
   const auto deduped = parse::dedup_adjacent_events(xid13);
   if (deduped.duplicates_removed != 0) {
     std::printf("  (%zu double-counted XID 13 reports removed before filtering)\n",

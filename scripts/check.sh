@@ -32,6 +32,10 @@
 #                binaries, the profile-matrix bench (full registry under
 #                every built-in FleetProfile), and an explicit titanlint
 #                det-* pass over the profile layer
+#   --perfbench  run the benchmark's self-test (python3 perfbench/selftest.py):
+#                it builds perfbench against the current src/ and runs every
+#                workload once untraced and once traced, so a src/ change
+#                that breaks an API the benchmark calls fails here
 #   --bench-json refresh every committed BENCH_*.json perf-trajectory
 #                record: bench_tdf_load -> BENCH_dataset.json,
 #                bench_campaign_scale -> BENCH_campaign.json and
@@ -48,6 +52,7 @@ TSAN=0
 CORRUPT=0
 CRASH=0
 PROFILES=0
+PERFBENCH=0
 BENCH_JSON=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -56,9 +61,10 @@ while [[ $# -gt 0 ]]; do
     --corrupt) CORRUPT=1 ;;
     --crash) CRASH=1 ;;
     --profiles) PROFILES=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     --bench-json) BENCH_JSON=1 ;;
     --jobs) JOBS="$2"; shift ;;
-    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--corrupt] [--crash] [--profiles] [--bench-json] [--jobs N]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [--ubsan] [--tsan] [--corrupt] [--crash] [--profiles] [--perfbench] [--bench-json] [--jobs N]" >&2; exit 2 ;;
   esac
   shift
 done
@@ -112,6 +118,11 @@ if [[ "$PROFILES" == 1 ]]; then
   ./build/tools/titanlint --root . src/profile/fleet_profile.hpp \
     src/profile/fleet_profile.cpp src/study/comparative.hpp \
     src/study/comparative.cpp src/core/facility.cpp src/study/registry.cpp
+fi
+
+if [[ "$PERFBENCH" == 1 ]]; then
+  echo "== perfbench self-test (builds the benchmark against src/, runs every workload) =="
+  python3 perfbench/selftest.py
 fi
 
 if [[ "$BENCH_JSON" == 1 ]]; then

@@ -1,12 +1,10 @@
 // Columnar (SoA) index over the parsed event stream.
 //
 // Every figure in the paper is a scan over the same 21-month event stream
-// keyed by kind, location, month, card, or job.  The span-based entry
-// points in the analysis modules re-derive those keys per call: `of_kind`
-// materializes a filtered copy, the spatial analyses re-run
-// `topology::locate` per event, and the card join is a ledger lookup per
-// event.  EventFrame pays those costs exactly once: one parallel build
-// pass (deterministic at any `titan::par` width) produces
+// keyed by kind, location, month, card, or job.  EventFrame derives those
+// keys exactly once -- no per-call kind filtering, no `topology::locate`
+// or ledger lookup per event -- in one parallel build pass
+// (deterministic at any `titan::par` width) that produces
 //
 //   * plain columns  -- time, node, kind, structure,
 //   * derived columns -- decoded NodeLocation, absolute calendar-month
@@ -16,7 +14,8 @@
 //     events in stream order plus a *contiguous* copy of their
 //     timestamps, so "times of kind" is a zero-copy span.
 //
-// Analyses then run as single-pass kernels over spans.  The frame mirrors
+// The frame is the analysis API: every kernel takes one and runs as a
+// single pass over its spans.  The frame mirrors
 // the console-recoverable view (`as_parsed`): building from ground-truth
 // xid::Event streams drops SBEs, which never reach the console log.
 #pragma once
@@ -131,8 +130,7 @@ class EventFrame {
         kind_offsets_[k], kind_offsets_[k + 1] - kind_offsets_[k]);
   }
   /// Timestamps of all events of `kind`, contiguous and in stream order
-  /// (time-sorted when the source stream was) -- the zero-copy
-  /// `times_of_kind`.
+  /// (time-sorted when the source stream was), zero copy.
   [[nodiscard]] std::span<const stats::TimeSec> times_of(xid::ErrorKind kind) const noexcept {
     frame_guard::check(kColumnBase);
     const auto k = static_cast<std::size_t>(kind);
@@ -140,8 +138,9 @@ class EventFrame {
         kind_offsets_[k], kind_offsets_[k + 1] - kind_offsets_[k]);
   }
 
-  /// Reconstruct the console-view record for one row (convenience for the
-  /// adapter overloads; analyses should read columns instead).
+  /// Reconstruct the console-view record for one row (for callers that
+  /// feed row-based tools such as parse::filter_events; analyses should
+  /// read columns instead).
   [[nodiscard]] parse::ParsedEvent row(std::size_t i) const {
     return parse::ParsedEvent{time_[i], node_[i], kind_[i], structure_[i]};
   }

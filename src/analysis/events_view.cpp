@@ -12,22 +12,4 @@ std::vector<parse::ParsedEvent> as_parsed(std::span<const xid::Event> events) {
   return out;
 }
 
-std::vector<parse::ParsedEvent> of_kind(std::span<const parse::ParsedEvent> events,
-                                        xid::ErrorKind kind) {
-  std::vector<parse::ParsedEvent> out;
-  for (const auto& e : events) {
-    if (e.kind == kind) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<stats::TimeSec> times_of_kind(std::span<const parse::ParsedEvent> events,
-                                          xid::ErrorKind kind) {
-  std::vector<stats::TimeSec> out;
-  for (const auto& e : events) {
-    if (e.kind == kind) out.push_back(e.time);
-  }
-  return out;
-}
-
 }  // namespace titan::analysis

@@ -1,10 +1,11 @@
-// Adapters between ground-truth events and the console-recoverable view.
+// Adapter between ground-truth events and the console-recoverable view.
 //
-// Analyses operate on parse::ParsedEvent (time/node/kind/structure): the
-// fields a real console line yields.  Ground-truth xid::Event streams are
-// downgraded through `as_parsed` before analysis, so every analysis result
-// is achievable from logs alone -- richer joins (cards, jobs) go through
-// the ledger and job trace explicitly, as the paper's did.
+// Analyses operate on the console-recoverable fields (time/node/kind/
+// structure): what a real console line yields.  Ground-truth xid::Event
+// streams are downgraded through `as_parsed` before analysis, so every
+// analysis result is achievable from logs alone -- richer joins (cards,
+// jobs) go through the ledger and job trace explicitly, as the paper's
+// did.
 #pragma once
 
 #include <span>
@@ -18,13 +19,5 @@ namespace titan::analysis {
 /// Downgrade ground truth to the console-recoverable view.  SBEs are
 /// dropped (they never reach the console log).
 [[nodiscard]] std::vector<parse::ParsedEvent> as_parsed(std::span<const xid::Event> events);
-
-/// Events of one kind, preserving order.
-[[nodiscard]] std::vector<parse::ParsedEvent> of_kind(std::span<const parse::ParsedEvent> events,
-                                                      xid::ErrorKind kind);
-
-/// Timestamps of events of one kind.
-[[nodiscard]] std::vector<stats::TimeSec> times_of_kind(
-    std::span<const parse::ParsedEvent> events, xid::ErrorKind kind);
 
 }  // namespace titan::analysis

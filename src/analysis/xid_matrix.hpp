@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/event_frame.hpp"
-#include "analysis/events_view.hpp"
 #include "stats/histogram.hpp"
 
 namespace titan::analysis {
@@ -32,11 +31,7 @@ struct FollowMatrix {
 /// Compute the following-failure matrix over all kinds present in
 /// `kinds_of_interest`.  `include_same_type` false zeroes the diagonal's
 /// contribution by skipping same-kind followers (the paper's bottom
-/// heatmap).
-[[nodiscard]] FollowMatrix follow_matrix(std::span<const parse::ParsedEvent> events,
-                                         std::span<const xid::ErrorKind> kinds_of_interest,
-                                         double window_s, bool include_same_type);
-/// Frame kernel: one pass over the time/kind columns with flat kind-index
+/// heatmap).  One pass over the time/kind columns with flat kind-index
 /// tables (no per-event hashing, no per-event `seen` allocation).
 [[nodiscard]] FollowMatrix follow_matrix(const EventFrame& frame,
                                          std::span<const xid::ErrorKind> kinds_of_interest,

@@ -1,6 +1,8 @@
 #include "study/fsck.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -59,56 +61,44 @@ void check_checkpoint(const fs::path& dir, bool have_manifest, FsckResult& out) 
   }
 }
 
-/// Manifest claims: parse damage, then every checksum against on-disk
-/// bytes -- including the TDF containers the load fast path skips.
-void check_manifest(const fs::path& dir, const ingest::ManifestIngest& manifest,
-                    const ingest::IngestReport& parse_report, FsckResult& out) {
-  for (const auto& diag : parse_report.diagnostics()) {
-    add_finding(out, diag.file, diag.code, diag.detail);
-  }
-  for (const auto& [name, expected] : manifest.checksums) {
-    const auto path = dir / name;
-    if (!fs::exists(path)) {
-      const bool shard = name.starts_with("dataset.shard-") && name.ends_with(".tdf");
-      add_finding(out, name,
-                  shard ? TriageCode::kPartialShardSet : TriageCode::kFileMissing,
-                  shard ? "manifest claims this shard container but it is missing"
-                        : "manifest claims a checksum for this file but it is missing");
-      continue;
-    }
-    const auto actual = ingest::content_checksum(read_all(path));
-    if (actual != expected) {
-      add_finding(out, name, TriageCode::kChecksumMismatch,
-                  "manifest records " + ingest::checksum_hex(expected) +
-                      ", content hashes to " + ingest::checksum_hex(actual));
-    }
-  }
-  // Shard roster vs the `shards N` claim: every shard in [0, N) must be
-  // claimed AND present; extra shard files beyond N are orphaned slices.
-  if (manifest.have_shards) {
-    const auto shard_count = static_cast<std::size_t>(manifest.shards);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const auto name = tdf::shard_file_name(s);
-      const bool claimed = std::any_of(
-          manifest.checksums.begin(), manifest.checksums.end(),
-          [&](const auto& claim) { return claim.first == name; });
-      // A claimed-but-missing shard was already reported by the claim
-      // walk above; only the never-claimed hole is new information here.
-      if (!claimed) {
-        add_finding(out, name, TriageCode::kPartialShardSet,
-                    "manifest declares " + std::to_string(shard_count) +
-                        " shards but carries no checksum claim for this one");
-      }
-    }
-    for (std::size_t s = shard_count; fs::exists(dir / tdf::shard_file_name(s)); ++s) {
-      add_finding(out, tdf::shard_file_name(s), TriageCode::kPartialShardSet,
-                  "shard container beyond the manifest's declared count of " +
-                      std::to_string(shard_count));
-    }
-  }
+bool claims_checksum(const ingest::ManifestIngest& manifest, std::string_view name) {
+  return std::any_of(manifest.checksums.begin(), manifest.checksums.end(),
+                     [&](const auto& claim) { return claim.first == name; });
 }
 
 }  // namespace
+
+std::vector<FsckFinding> manifest_findings(const fs::path& dir,
+                                           const ingest::ManifestIngest& manifest,
+                                           const tdf::ContainerRoster& roster,
+                                           bool hash_containers) {
+  std::vector<FsckFinding> out;
+  for (const auto& [name, expected] : manifest.checksums) {
+    const auto path = dir / name;
+    if (!fs::exists(path)) {
+      // A missing shard container is its own crash-state class: the
+      // roster the manifest promised is incomplete, which is what a
+      // writer killed between shard commits leaves behind.
+      const bool shard = name.starts_with("dataset.shard-") && name.ends_with(".tdf");
+      out.push_back({name, shard ? TriageCode::kPartialShardSet : TriageCode::kFileMissing,
+                     shard ? "manifest claims this shard container but it is missing"
+                           : "manifest claims a checksum for this file but it is missing"});
+      continue;
+    }
+    if (!hash_containers && name.ends_with(".tdf")) continue;
+    const auto actual = ingest::content_checksum(read_all(path));
+    if (actual != expected) {
+      out.push_back({name, TriageCode::kChecksumMismatch,
+                     "manifest records " + ingest::checksum_hex(expected) +
+                         ", content hashes to " + ingest::checksum_hex(actual)});
+    }
+  }
+  for (const auto& mismatch : roster.mismatches) {
+    if (mismatch.missing && claims_checksum(manifest, mismatch.file)) continue;
+    out.push_back({mismatch.file, TriageCode::kPartialShardSet, mismatch.detail});
+  }
+  return out;
+}
 
 std::string FsckResult::report_text() const {
   std::string text = "titanrel fsck\nlayout: " + layout + '\n';
@@ -123,27 +113,40 @@ std::string FsckResult::report_text() const {
 
 FsckResult fsck_dataset(const fs::path& dir) {
   FsckResult out;
-  if (fs::exists(dir / std::string{tdf::kTdfFileName})) {
-    out.layout = "binary";
-  } else if (fs::exists(dir / tdf::shard_file_name(0))) {
-    out.layout = "sharded";
-  } else if (fs::exists(dir / "console.log")) {
-    out.layout = "text";
+  ingest::ManifestIngest manifest;
+  ingest::IngestReport parse_report{ingest::IngestPolicy::kSalvage};
+  const bool have_manifest = fs::exists(dir / "manifest.txt");
+  if (have_manifest) {
+    manifest = ingest::ingest_manifest_text(read_all(dir / "manifest.txt"), "manifest.txt",
+                                            ingest::IngestPolicy::kSalvage, parse_report);
+  }
+  const auto roster = tdf::container_roster(
+      dir, manifest.have_shards ? std::optional{manifest.shards} : std::nullopt);
+  if (roster.binary()) {
+    out.layout = roster.sharded() ? "sharded" : "binary";
   } else {
-    out.layout = "none";
+    out.layout = fs::exists(dir / "console.log") ? "text" : "none";
   }
 
   check_orphans(dir, out);
-
-  const bool have_manifest = fs::exists(dir / "manifest.txt");
   check_checkpoint(dir, have_manifest, out);
+  if (!have_manifest) return out;
 
-  if (have_manifest) {
-    ingest::IngestReport report{ingest::IngestPolicy::kSalvage};
-    const auto manifest = ingest::ingest_manifest_text(
-        read_all(dir / "manifest.txt"), "manifest.txt", ingest::IngestPolicy::kSalvage,
-        report);
-    check_manifest(dir, manifest, report, out);
+  for (const auto& diag : parse_report.diagnostics()) {
+    add_finding(out, diag.file, diag.code, diag.detail);
+  }
+  auto findings = manifest_findings(dir, manifest, roster, /*hash_containers=*/true);
+  out.findings.insert(out.findings.end(), std::make_move_iterator(findings.begin()),
+                      std::make_move_iterator(findings.end()));
+  // Every shard the roster reads must carry a checksum claim too.
+  if (manifest.have_shards) {
+    for (const auto& name : roster.files) {
+      if (!claims_checksum(manifest, name)) {
+        add_finding(out, name, TriageCode::kPartialShardSet,
+                    "manifest declares " + std::to_string(manifest.shards) +
+                        " shards but carries no checksum claim for this one");
+      }
+    }
   }
   return out;
 }

@@ -5,12 +5,14 @@
 // rule in one place.  Not a public API.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "logsim/joblog.hpp"
 #include "logsim/smi.hpp"
 #include "study/context.hpp"
+#include "tdf/tdf.hpp"
 
 namespace titan::study::detail {
 
@@ -28,5 +30,12 @@ namespace titan::study::detail {
 
 /// Smi snapshot quantized through the text serialization.
 [[nodiscard]] logsim::SmiSnapshot quantized_smi(const logsim::SmiSnapshot& snapshot);
+
+/// The binary container for events [lo, hi) of the context's stream: the
+/// study window and profile in its meta, plus -- with `side_artifacts`,
+/// which the writers set on their last container -- the quantized job
+/// and smi segments the context has.
+[[nodiscard]] tdf::TdfDataset container_of(const StudyContext& context, std::size_t lo,
+                                           std::size_t hi, bool side_artifacts);
 
 }  // namespace titan::study::detail

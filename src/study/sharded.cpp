@@ -247,8 +247,6 @@ ShardedWriteStats write_sharded_dataset(const StudyContext& context,
   intent.card_fences = {0};
   ckpt::save_study_checkpoint(intent, dir);
 
-  const bool have_jobs = context.truth.has_value() || !context.job_log.empty();
-  const bool have_smi = context.truth.has_value() || context.has(kSnapshot);
   auto manifest = manifest_header(context.period.begin, context.period.end,
                                   context.accounting_from, *context.profile, shard_count);
 
@@ -260,36 +258,8 @@ ShardedWriteStats write_sharded_dataset(const StudyContext& context,
     // (time, shard) merge reduces to concatenation and any bounds work.
     const std::size_t lo = total * s / shard_count;
     const std::size_t hi = total * (s + 1) / shard_count;
-
-    tdf::TdfDataset data;
-    data.period_begin = context.period.begin;
-    data.period_end = context.period.end;
-    data.accounting_from = context.accounting_from;
-    data.profile_name = std::string{context.profile->name};
-    data.profile_hash = context.profile->content_hash();
-    data.times.reserve(hi - lo);
-    data.nodes.reserve(hi - lo);
-    data.kinds.reserve(hi - lo);
-    data.structures.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& e = context.events[i];
-      data.times.push_back(e.time);
-      data.nodes.push_back(e.node);
-      data.kinds.push_back(e.kind);
-      data.structures.push_back(e.structure);
-    }
-
-    if (s + 1 == shard_count) {
-      if (have_jobs) {
-        data.has_jobs = true;
-        data.jobs = detail::quantized_jobs(context);
-      }
-      if (have_smi) {
-        data.has_smi = true;
-        data.snapshot = detail::quantized_smi(context.snapshot);
-      }
-    }
-    const auto seal = write_shard(dir, s, data);
+    const auto seal =
+        write_shard(dir, s, detail::container_of(context, lo, hi, s + 1 == shard_count));
     tally(out, seal);
     manifest.push_back("checksum " + seal.file + ' ' +
                        ingest::checksum_hex(seal.checksum));

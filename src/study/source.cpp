@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -13,6 +13,7 @@
 #include "faulttest/faulttest.hpp"
 #include "logsim/console.hpp"
 #include "logsim/smi_text.hpp"
+#include "study/fsck.hpp"
 #include "study/io.hpp"
 #include "study/serialize_detail.hpp"
 #include "tdf/tdf.hpp"
@@ -78,152 +79,48 @@ void resolve_profile(StudyContext& context, std::string_view source_file, bool r
   context.profile = dataset_profile;
 }
 
-/// Verify every checksum the manifest claims against on-disk bytes.
-/// A claimed-but-missing file and a content mismatch are both integrity
-/// findings (fatal under kStrict).  With `skip_tdf`, `.tdf` container
-/// claims are presence-checked but not hashed: a TDF container
-/// self-validates every byte it decodes (table + per-segment FNV-1a), and
-/// hashing full contents here would read each container twice on the load
-/// fast path -- and force a whole-file read of containers the streaming
-/// path deliberately never materializes.
-void verify_checksums(const fs::path& dir, const ingest::ManifestIngest& manifest,
-                      IngestPolicy policy, IngestReport& report, bool skip_tdf = false) {
-  for (const auto& [name, expected] : manifest.checksums) {
-    const auto path = dir / name;
-    if (skip_tdf && name.ends_with(".tdf") && fs::exists(path)) continue;
-    if (!fs::exists(path)) {
-      // A missing shard container is its own crash-state class: the
-      // roster the manifest promised is incomplete, which is what a
-      // writer killed between shard commits leaves behind.
-      const bool shard = name.starts_with("dataset.shard-") && name.ends_with(".tdf");
-      triage_file(policy, report, name,
-                  shard ? TriageCode::kPartialShardSet : TriageCode::kFileMissing,
-                  SalvageAction::kIgnored,
-                  shard ? "manifest claims this shard container but it is missing"
-                        : "manifest claims a checksum for this file but it is missing");
-      continue;
-    }
-    const auto actual = ingest::content_checksum(read_all(path));
-    if (actual != expected) {
-      triage_file(policy, report, name, TriageCode::kChecksumMismatch, SalvageAction::kIgnored,
-                  "manifest records " + ingest::checksum_hex(expected) + ", content hashes to " +
-                      ingest::checksum_hex(actual));
+/// Every claim the manifest makes, checked against the directory (the
+/// walk fsck runs too).  Each disagreement is an integrity finding, fatal
+/// under kStrict.  A container the manifest vouches for by checksum but
+/// the roster lacks is a lost slice of the event stream: fatal under
+/// both policies, since no salvage can restore its events.
+void verify_claims(const fs::path& dir, const ingest::ManifestIngest& manifest,
+                   const tdf::ContainerRoster& roster, IngestPolicy policy,
+                   IngestReport& report) {
+  // Containers the load reads self-validate every byte they decode
+  // (table + per-segment FNV-1a), so only a text load hashes them.
+  for (const auto& finding :
+       manifest_findings(dir, manifest, roster, /*hash_containers=*/!roster.binary())) {
+    triage_file(policy, report, finding.file, finding.code, SalvageAction::kIgnored,
+                finding.detail);
+  }
+  for (const auto& mismatch : roster.mismatches) {
+    const bool claimed =
+        std::any_of(manifest.checksums.begin(), manifest.checksums.end(),
+                    [&](const auto& claim) { return claim.first == mismatch.file; });
+    if (mismatch.missing && claimed) {
+      throw ingest::IngestError{mismatch.file, 0, TriageCode::kPartialShardSet,
+                                "sharded dataset claims " + std::to_string(manifest.shards) +
+                                    " shards but " + mismatch.file + " is missing"};
     }
   }
 }
 
-/// Ingest manifest.txt when present, verifying its checksum claims.
-ingest::ManifestIngest load_manifest(const fs::path& dir, IngestPolicy policy,
-                                     IngestReport& report, bool skip_tdf = false) {
-  ingest::ManifestIngest manifest;
-  const auto manifest_path = dir / "manifest.txt";
-  if (fs::exists(manifest_path)) {
-    manifest = ingest::ingest_manifest_text(read_all(manifest_path), "manifest.txt", policy,
-                                            report);
-    verify_checksums(dir, manifest, policy, report, skip_tdf);
-  }
-  return manifest;
-}
-
-/// The binary load path: mmap dataset.tdf, decode its columns, and build
-/// the EventFrame straight from them (no text parsing, no ParsedEvent
-/// intermediate for the frame).
-StudyContext load_binary(const fs::path& dir, const fs::path& tdf_path, IngestPolicy policy,
-                         IngestReport& report, const profile::FleetProfile* expected) {
-  const auto manifest = load_manifest(dir, policy, report, /*skip_tdf=*/true);
-
-  auto data = tdf::read_tdf(tdf_path, policy, report);
-  if (data.times.empty()) {
-    throw ingest::IngestError{std::string{tdf::kTdfFileName}, 0, TriageCode::kNoEvents,
-                              "dataset at " + dir.string() + " contains no events"};
-  }
-
-  StudyContext context;
-  context.frame = analysis::EventFrame::from_columns(data.times, data.nodes, data.kinds,
-                                                     data.structures);
-  // The row view is still materialized (some kernels and the differential
-  // tests consume it), but from decoded columns -- no text in the loop.
-  context.events.resize(data.times.size());
-  for (std::size_t i = 0; i < data.times.size(); ++i) {
-    context.events[i] =
-        parse::ParsedEvent{data.times[i], data.nodes[i], data.kinds[i], data.structures[i]};
-  }
-  context.capabilities = kEvents;
-
-  // Study window: the container's meta segment is authoritative (it is
-  // what write_dataset recorded); a manifest, when present, was already
-  // cross-checked by its checksum claim on the container bytes.
-  if (data.period_begin != 0 || data.period_end != 0) {
-    context.period.begin = data.period_begin;
-    context.period.end = data.period_end;
-    context.accounting_from = data.accounting_from;
-  } else {
-    context.period.begin = manifest.have_begin ? manifest.begin : data.times.front();
-    context.period.end = manifest.have_end ? manifest.end : data.times.back() + 1;
-    context.accounting_from =
-        manifest.have_accounting ? manifest.accounting : context.period.begin;
-  }
-
-  if (data.has_jobs) {
-    context.load_stats.job_lines = data.jobs.size();
-    context.job_log = std::move(data.jobs);
-  }
-  if (data.has_smi) {
-    context.snapshot = std::move(data.snapshot);
-    context.load_stats.smi_blocks = context.snapshot.records.size();
-    context.capabilities |= kSnapshot;
-  }
-
-  context.load_stats.binary = true;
-  context.load_stats.tdf_segments =
-      std::size_t{6} + (data.has_jobs ? 1U : 0U) + (data.has_smi ? 1U : 0U);
-  std::error_code ec;
-  const auto size = fs::file_size(tdf_path, ec);
-  context.load_stats.tdf_bytes = ec ? 0 : static_cast<std::size_t>(size);
-
-  // Profile: the container's meta recording is authoritative (a manifest
-  // claim, when present, covered the container bytes via its checksum).
-  resolve_profile(context, tdf::kTdfFileName, !data.profile_name.empty(), data.profile_name,
-                  data.profile_hash, expected, policy, report);
-  return context;
-}
-
-/// The sharded load path: open a streaming SegmentReader per shard
-/// container, k-way merge their windowed event streams by (time, shard
-/// index), and build the context from the merged columns.  Shard k holds
-/// strictly earlier stream positions than shard k+1 at equal timestamps,
-/// so the merge reproduces the unsharded order exactly -- the resulting
-/// context is byte-identical to load_binary over the equivalent
-/// monolithic container, at any shard count.  Per-shard resident decode
-/// state is one window, so shard containers beyond the whole-file read
-/// cap stream fine.
-StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport& report,
-                          const profile::FleetProfile* expected) {
-  const auto manifest = load_manifest(dir, policy, report, /*skip_tdf=*/true);
-
-  // Shard roster: the manifest's `shards N` claim when present, else the
-  // contiguous run of dataset.shard-K.tdf files starting at 0.
-  std::size_t shard_count = 0;
-  if (manifest.have_shards) {
-    shard_count = static_cast<std::size_t>(manifest.shards);
-  } else {
-    while (fs::exists(dir / tdf::shard_file_name(shard_count))) ++shard_count;
-  }
-
+/// The binary load path, for the monolithic dataset.tdf (a one-container
+/// roster) and sharded layouts alike: open a streaming SegmentReader per
+/// container, k-way merge their event streams by (time, container index),
+/// and build the context from the merged columns.  Shard k holds strictly
+/// earlier stream positions than shard k+1 at equal timestamps, so the
+/// merge reproduces the unsharded order exactly -- the context is
+/// byte-identical at any shard count.  Per-container resident decode
+/// state is one window, so containers beyond the whole-file read cap
+/// stream fine.
+StudyContext load_containers(const fs::path& dir, const tdf::ContainerRoster& roster,
+                             const ingest::ManifestIngest& manifest, IngestPolicy policy,
+                             IngestReport& report, const profile::FleetProfile* expected) {
   std::vector<tdf::SegmentReader> readers;
-  readers.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const auto name = tdf::shard_file_name(s);
-    const auto path = dir / name;
-    if (!fs::exists(path)) {
-      // Fatal under either policy: a missing slice of the event stream
-      // cannot be salvaged around without silently dropping its events.
-      throw ingest::IngestError{name, 0, TriageCode::kPartialShardSet,
-                                "sharded dataset claims " + std::to_string(shard_count) +
-                                    " shards but shard " + std::to_string(s) + " is missing"};
-    }
-    readers.emplace_back(path, policy, report);
-  }
+  readers.reserve(roster.files.size());
+  for (const auto& name : roster.files) readers.emplace_back(dir / name, policy, report);
 
   // Every shard must describe the same study window; shard 0 is the
   // reference and disagreement names the odd shard out.
@@ -244,90 +141,40 @@ StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport
   std::uint64_t total = 0;
   for (const auto& r : readers) total += r.event_count();
   if (total == 0) {
-    throw ingest::IngestError{tdf::shard_file_name(0), 0, TriageCode::kNoEvents,
-                              "sharded dataset at " + dir.string() + " contains no events"};
+    throw ingest::IngestError{roster.files.empty() ? tdf::shard_file_name(0) : roster.files[0],
+                              0, TriageCode::kNoEvents,
+                              (roster.sharded() ? "sharded dataset at " : "dataset at ") +
+                                  dir.string() + " contains no events"};
   }
 
-  std::vector<stats::TimeSec> times;
-  std::vector<topology::NodeId> nodes;
-  std::vector<xid::ErrorKind> kinds;
-  std::vector<xid::MemoryStructure> structures;
-  times.reserve(static_cast<std::size_t>(total));
-  nodes.reserve(static_cast<std::size_t>(total));
-  kinds.reserve(static_cast<std::size_t>(total));
-  structures.reserve(static_cast<std::size_t>(total));
-
-  struct ShardCursor {
-    tdf::EventWindow window;
-    std::size_t pos = 0;
-  };
-  std::vector<ShardCursor> cursors(readers.size());
-  // True when the cursor points at a decoded row (refilling the window
-  // from the reader as needed).
-  const auto ready = [&](std::size_t s) -> bool {
-    auto& cur = cursors[s];
-    if (cur.pos < cur.window.size()) return true;
-    cur.pos = 0;
-    return readers[s].next_window(cur.window) > 0;
-  };
-
-  struct Head {
-    stats::TimeSec time = 0;
-    std::uint32_t shard = 0;
-  };
-  const auto later = [](const Head& a, const Head& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.shard > b.shard;
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heap{later};
-  for (std::size_t s = 0; s < readers.size(); ++s) {
-    if (ready(s)) {
-      heap.push(Head{cursors[s].window.times[0], static_cast<std::uint32_t>(s)});
-    }
-  }
-  while (!heap.empty()) {
-    const Head top = heap.top();
-    heap.pop();
-    auto& cur = cursors[top.shard];
-    times.push_back(cur.window.times[cur.pos]);
-    nodes.push_back(cur.window.nodes[cur.pos]);
-    kinds.push_back(cur.window.kinds[cur.pos]);
-    structures.push_back(cur.window.structures[cur.pos]);
-    ++cur.pos;
-    if (ready(top.shard)) {
-      heap.push(Head{cur.window.times[cur.pos], top.shard});
-    }
-  }
+  const auto columns = tdf::merge_event_streams(readers);
 
   StudyContext context;
-  context.frame = analysis::EventFrame::from_columns(times, nodes, kinds, structures);
-  context.events.resize(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    context.events[i] = parse::ParsedEvent{times[i], nodes[i], kinds[i], structures[i]};
-  }
   context.capabilities = kEvents;
-
-  // Study window: the shards' (agreeing) meta segments are authoritative,
-  // same precedence as the monolithic path.
+  // Study window: the containers' (agreeing) meta segments are
+  // authoritative; a manifest claim, when present, covered the container
+  // bytes via its checksum.
   if (readers[0].period_begin() != 0 || readers[0].period_end() != 0) {
     context.period.begin = readers[0].period_begin();
     context.period.end = readers[0].period_end();
     context.accounting_from = readers[0].accounting_from();
   } else {
-    context.period.begin = manifest.have_begin ? manifest.begin : times.front();
-    context.period.end = manifest.have_end ? manifest.end : times.back() + 1;
+    context.period.begin = manifest.have_begin ? manifest.begin : columns.times.front();
+    context.period.end = manifest.have_end ? manifest.end : columns.times.back() + 1;
     context.accounting_from =
         manifest.have_accounting ? manifest.accounting : context.period.begin;
   }
 
-  // Side artifacts ride in whichever shard carries the segment (the
+  // Side artifacts ride in whichever container carries the segment (the
   // writers put them in the last).
   for (auto& reader : readers) {
+    std::size_t side_segments = 0;
     if (reader.has_jobs()) {
       std::vector<logsim::JobLogRecord> jobs;
       if (reader.read_jobs(jobs)) {
         context.load_stats.job_lines = jobs.size();
         context.job_log = std::move(jobs);
+        ++side_segments;
       }
     }
     if (reader.has_smi()) {
@@ -336,40 +183,41 @@ StudyContext load_sharded(const fs::path& dir, IngestPolicy policy, IngestReport
         context.snapshot = std::move(snapshot);
         context.load_stats.smi_blocks = context.snapshot.records.size();
         context.capabilities |= kSnapshot;
+        ++side_segments;
       }
     }
-  }
-
-  context.load_stats.binary = true;
-  context.load_stats.shards = readers.size();
-  for (const auto& reader : readers) {
-    context.load_stats.tdf_segments += reader.segment_count();
+    // A monolithic load counts the segments it decoded; a sharded load
+    // counts the segments each container's table holds.
+    context.load_stats.tdf_segments +=
+        roster.sharded() ? reader.segment_count() : std::size_t{6} + side_segments;
     context.load_stats.tdf_bytes += static_cast<std::size_t>(reader.file_bytes());
   }
+  context.load_stats.binary = true;
+  context.load_stats.shards = roster.sharded() ? readers.size() : 0;
 
   resolve_profile(context, readers[0].file_name(), !readers[0].profile_name().empty(),
                   readers[0].profile_name(), readers[0].profile_hash(), expected, policy,
                   report);
+
+  // Unmap before the frame and row build: the mapped containers would
+  // otherwise stay resident on top of the columns, frame and rows.
+  readers.clear();
+  context.frame = analysis::EventFrame::from_columns(columns.times, columns.nodes,
+                                                     columns.kinds, columns.structures);
+  context.events.resize(columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    context.events[i] = parse::ParsedEvent{columns.times[i], columns.nodes[i], columns.kinds[i],
+                                           columns.structures[i]};
+  }
   return context;
 }
 
-StudyContext load_text(const fs::path& dir, IngestPolicy policy, IngestReport& report,
+StudyContext load_text(const fs::path& dir, const ingest::ManifestIngest& manifest,
+                       IngestPolicy policy, IngestReport& report,
                        const profile::FleetProfile* expected) {
-  const auto console_path = dir / "console.log";
-  if (!fs::exists(console_path)) {
-    // Fatal under either policy: with no console log there is nothing to
-    // salvage a study from.
-    throw ingest::IngestError{"console.log", 0, TriageCode::kFileMissing,
-                              "no dataset at " + dir.string()};
-  }
-
-  // Manifest first: the producer's claims (study window, accounting
-  // cutoff, content checksums) gate everything that follows.
-  const auto manifest = load_manifest(dir, policy, report);
-
   StudyContext context;
-  auto console = ingest::ingest_console_text(read_all(console_path), "console.log", policy,
-                                             report);
+  auto console = ingest::ingest_console_text(read_all(dir / "console.log"), "console.log",
+                                             policy, report);
   context.load_stats.console_lines = console.lines;
   context.load_stats.malformed_lines = console.malformed;
   context.load_stats.unrelated_lines = console.unrelated;
@@ -474,16 +322,31 @@ StudyContext DatasetSource::load() const {
   IngestReport report{policy_};
   gate_crash_state(dir_, policy_, report);
 
-  // A binary container takes precedence: it is the format written for
-  // exactly this load path (mmap + columnar decode).  A sharded layout
-  // (dataset.shard-0.tdf ...) comes next; text artifacts are the fallback.
-  const auto tdf_path = dir_ / std::string{tdf::kTdfFileName};
+  // Manifest first: the producer's claims (study window, accounting
+  // cutoff, shard count, content checksums) gate everything that follows.
+  ingest::ManifestIngest manifest;
+  const auto manifest_path = dir_ / "manifest.txt";
+  const bool have_manifest = fs::exists(manifest_path);
+  if (have_manifest) {
+    manifest = ingest::ingest_manifest_text(read_all(manifest_path), "manifest.txt", policy_,
+                                            report);
+  }
+  // Binary containers take precedence: they are the format written for
+  // exactly this load path (mmap + columnar decode), a monolithic
+  // dataset.tdf before shards.  Text artifacts are the fallback.
+  const auto roster = tdf::container_roster(
+      dir_, manifest.have_shards ? std::optional{manifest.shards} : std::nullopt);
+  if (!roster.binary() && !fs::exists(dir_ / "console.log")) {
+    // Fatal under either policy: with no container and no console log
+    // there is nothing to salvage a study from.
+    throw ingest::IngestError{"console.log", 0, TriageCode::kFileMissing,
+                              "no dataset at " + dir_.string()};
+  }
+  if (have_manifest) verify_claims(dir_, manifest, roster, policy_, report);
   StudyContext context =
-      fs::exists(tdf_path)
-          ? load_binary(dir_, tdf_path, policy_, report, expected_profile_)
-      : fs::exists(dir_ / tdf::shard_file_name(0))
-          ? load_sharded(dir_, policy_, report, expected_profile_)
-          : load_text(dir_, policy_, report, expected_profile_);
+      roster.binary()
+          ? load_containers(dir_, roster, manifest, policy_, report, expected_profile_)
+          : load_text(dir_, manifest, policy_, report, expected_profile_);
 
   // Only salvage loads carry the triage record into the report pipeline;
   // a strict load that got this far saw nothing fatal, and omitting the
@@ -534,6 +397,40 @@ logsim::SmiSnapshot quantized_smi(const logsim::SmiSnapshot& snapshot) {
   return out;
 }
 
+tdf::TdfDataset container_of(const StudyContext& context, std::size_t lo, std::size_t hi,
+                             bool side_artifacts) {
+  tdf::TdfDataset data;
+  data.period_begin = context.period.begin;
+  data.period_end = context.period.end;
+  data.accounting_from = context.accounting_from;
+  data.profile_name = std::string{context.profile->name};
+  data.profile_hash = context.profile->content_hash();
+  data.times.reserve(hi - lo);
+  data.nodes.reserve(hi - lo);
+  data.kinds.reserve(hi - lo);
+  data.structures.reserve(hi - lo);
+  for (std::size_t i = lo; i < hi; ++i) {
+    const auto& e = context.events[i];
+    data.times.push_back(e.time);
+    data.nodes.push_back(e.node);
+    data.kinds.push_back(e.kind);
+    data.structures.push_back(e.structure);
+  }
+  if (!side_artifacts) return data;
+  // Both formats round-trip doubles through the text serialization, so a
+  // text dataset and a binary dataset of the same context load into
+  // byte-identical contexts.
+  if (context.truth.has_value() || !context.job_log.empty()) {
+    data.has_jobs = true;
+    data.jobs = quantized_jobs(context);
+  }
+  if (context.truth.has_value() || context.has(kSnapshot)) {
+    data.has_smi = true;
+    data.snapshot = quantized_smi(context.snapshot);
+  }
+  return data;
+}
+
 }  // namespace detail
 
 void write_dataset(const StudyContext& context, const std::filesystem::path& dir,
@@ -555,13 +452,6 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
   intent.card_fences = {0};
   ckpt::save_study_checkpoint(intent, dir);
 
-  // Both formats round-trip doubles through the text serialization, so a
-  // text dataset and a binary dataset of the same context load into
-  // byte-identical contexts (the text path quantizes at write time; the
-  // binary path must not keep more precision than that).
-  const bool have_jobs = context.truth.has_value() || !context.job_log.empty();
-  const bool have_smi = context.truth.has_value() || context.has(kSnapshot);
-
   std::vector<std::string> manifest = {
       std::string{ingest::kDatasetManifestHeader},
       "period_begin " + std::to_string(context.period.begin),
@@ -579,42 +469,19 @@ void write_dataset(const StudyContext& context, const std::filesystem::path& dir
     atomic_write_lines(dir / "console.log", detail::console_lines_of(context));
     claim("console.log");
     TITAN_PTP("study/write/artifact");
-    if (have_jobs) {
+    if (context.truth.has_value() || !context.job_log.empty()) {
       atomic_write_lines(dir / "jobs.log", detail::job_lines_of(context));
       claim("jobs.log");
       TITAN_PTP("study/write/artifact");
     }
-    if (have_smi) {
+    if (context.truth.has_value() || context.has(kSnapshot)) {
       atomic_write_text(dir / "smi_sweep.txt", logsim::smi_sweep_text(context.snapshot));
       claim("smi_sweep.txt");
       TITAN_PTP("study/write/artifact");
     }
   } else {
-    tdf::TdfDataset data;
-    data.period_begin = context.period.begin;
-    data.period_end = context.period.end;
-    data.accounting_from = context.accounting_from;
-    data.profile_name = std::string{context.profile->name};
-    data.profile_hash = context.profile->content_hash();
-    data.times.reserve(context.events.size());
-    data.nodes.reserve(context.events.size());
-    data.kinds.reserve(context.events.size());
-    data.structures.reserve(context.events.size());
-    for (const auto& e : context.events) {
-      data.times.push_back(e.time);
-      data.nodes.push_back(e.node);
-      data.kinds.push_back(e.kind);
-      data.structures.push_back(e.structure);
-    }
-    if (have_jobs) {
-      data.has_jobs = true;
-      data.jobs = detail::quantized_jobs(context);
-    }
-    if (have_smi) {
-      data.has_smi = true;
-      data.snapshot = detail::quantized_smi(context.snapshot);
-    }
-    tdf::write_tdf(data, dir / std::string{tdf::kTdfFileName});
+    tdf::write_tdf(detail::container_of(context, 0, context.events.size(), true),
+                   dir / std::string{tdf::kTdfFileName});
     claim(tdf::kTdfFileName);
     TITAN_PTP("study/write/artifact");
   }

@@ -49,12 +49,13 @@ class SimulatedSource final : public StudySource {
 };
 
 /// Ingests a dataset directory written by write_dataset or the sharded
-/// producers (or any producer of the same formats).  A `dataset.tdf`
-/// binary container, when present, is preferred (mmap + columnar decode,
-/// no text parsing); next a sharded layout (`dataset.shard-0.tdf` ...,
-/// streamed window-by-window and k-way merged back into the global event
-/// order -- byte-identical to the monolithic load at any shard count);
-/// otherwise the text artifacts are loaded: console.log is required;
+/// producers (or any producer of the same formats).  Binary containers,
+/// when present, are preferred: the tdf::container_roster of the
+/// directory (a `dataset.tdf`, else the `dataset.shard-K.tdf` run
+/// reconciled with the manifest's `shards N` claim) is streamed window by
+/// window and k-way merged into the global event order, so a monolithic
+/// and a sharded dataset of one study load byte-identically.  Otherwise
+/// the text artifacts are loaded: console.log is required;
 /// jobs.log, smi_sweep.txt and manifest.txt are optional (capabilities
 /// shrink accordingly; without a manifest the period is inferred from the
 /// event stream).  Capabilities: events, plus snapshot when the sweep
@@ -62,7 +63,8 @@ class SimulatedSource final : public StudySource {
 ///
 /// Under IngestPolicy::kStrict (the default) structural corruption --
 /// checksum mismatches, manifest damage, NUL/overlong lines, timestamp
-/// regressions, a manifest-claimed file gone missing -- throws
+/// regressions, a manifest-claimed file gone missing, a shard claim the
+/// containers on disk disagree with -- throws
 /// ingest::IngestError naming file, line and taxonomy code.  Under
 /// kSalvage the load repairs what it can, quarantines the rest, and
 /// attaches the full ingest::IngestReport to the context.

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdio>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -726,6 +727,111 @@ bool SegmentReader::read_jobs(std::vector<logsim::JobLogRecord>& out) {
 
 bool SegmentReader::read_smi(logsim::SmiSnapshot& out) {
   return impl_->stream.read_smi(out);
+}
+
+EventWindow merge_event_streams(std::span<SegmentReader> readers) {
+  std::uint64_t total = 0;
+  for (const auto& reader : readers) total += reader.event_count();
+  EventWindow out;
+  out.times.reserve(static_cast<std::size_t>(total));
+  out.nodes.reserve(static_cast<std::size_t>(total));
+  out.kinds.reserve(static_cast<std::size_t>(total));
+  out.structures.reserve(static_cast<std::size_t>(total));
+
+  struct Cursor {
+    EventWindow window;
+    std::size_t pos = 0;
+  };
+  std::vector<Cursor> cursors(readers.size());
+  // True when the cursor points at a decoded row (refilling the window
+  // from the reader as needed).
+  const auto ready = [&](std::size_t s) -> bool {
+    auto& cur = cursors[s];
+    if (cur.pos < cur.window.size()) return true;
+    cur.pos = 0;
+    return readers[s].next_window(cur.window) > 0;
+  };
+
+  struct Head {
+    stats::TimeSec time = 0;
+    std::uint32_t shard = 0;
+  };
+  const auto later = [](const Head& a, const Head& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.shard > b.shard;
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(later)> heap{later};
+  for (std::size_t s = 0; s < readers.size(); ++s) {
+    if (ready(s)) heap.push(Head{cursors[s].window.times[0], static_cast<std::uint32_t>(s)});
+  }
+  while (!heap.empty()) {
+    const Head top = heap.top();
+    heap.pop();
+    auto& cur = cursors[top.shard];
+    // The head row goes first, then every row after it that still sorts
+    // before the best other head: the other heads stay put while this
+    // reader advances, so this is exactly the per-row merge's choice.
+    const std::optional<Head> bound =
+        heap.empty() ? std::nullopt : std::optional<Head>{heap.top()};
+    std::size_t end = cur.pos + 1;
+    for (;;) {
+      while (end < cur.window.size() &&
+             (!bound || later(*bound, Head{cur.window.times[end], top.shard}))) {
+        ++end;
+      }
+      const auto from = static_cast<std::ptrdiff_t>(cur.pos);
+      const auto to = static_cast<std::ptrdiff_t>(end);
+      out.times.insert(out.times.end(), cur.window.times.begin() + from,
+                       cur.window.times.begin() + to);
+      out.nodes.insert(out.nodes.end(), cur.window.nodes.begin() + from,
+                       cur.window.nodes.begin() + to);
+      out.kinds.insert(out.kinds.end(), cur.window.kinds.begin() + from,
+                       cur.window.kinds.begin() + to);
+      out.structures.insert(out.structures.end(), cur.window.structures.begin() + from,
+                            cur.window.structures.begin() + to);
+      cur.pos = end;
+      // A run that reaches the end of the window continues into the next.
+      if (end < cur.window.size() || !ready(top.shard)) break;
+      end = 0;
+    }
+    if (ready(top.shard)) heap.push(Head{cur.window.times[cur.pos], top.shard});
+  }
+  return out;
+}
+
+ContainerRoster container_roster(const fs::path& dir,
+                                 std::optional<std::uint64_t> claimed_shards) {
+  ContainerRoster roster;
+  if (fs::exists(dir / std::string{kTdfFileName})) {
+    roster.layout = ContainerRoster::Layout::kMonolithic;
+    roster.files.emplace_back(kTdfFileName);
+    return roster;
+  }
+  std::size_t on_disk = 0;
+  while (fs::exists(dir / shard_file_name(on_disk))) ++on_disk;
+  if (on_disk == 0) return roster;
+  roster.layout = ContainerRoster::Layout::kSharded;
+
+  std::size_t take = on_disk;
+  if (claimed_shards) {
+    const auto claim = std::to_string(*claimed_shards);
+    if (*claimed_shards < on_disk) {
+      take = static_cast<std::size_t>(*claimed_shards);
+      for (std::size_t s = take; s < on_disk; ++s) {
+        roster.mismatches.push_back(
+            {shard_file_name(s),
+             "shard container beyond the manifest's declared count of " + claim, false});
+      }
+    } else if (*claimed_shards > on_disk) {
+      roster.mismatches.push_back(
+          {shard_file_name(on_disk),
+           "manifest declares " + claim + " shards but the shard containers on disk stop at " +
+               std::to_string(on_disk),
+           true});
+    }
+  }
+  for (std::size_t s = 0; s < take; ++s) roster.files.push_back(shard_file_name(s));
+  return roster;
 }
 
 TdfInfo inspect_tdf(const fs::path& path) {

@@ -10,6 +10,10 @@
 // segment's first bytes are decoded, and only for segments the load
 // needs.  SegmentReader is the out-of-core variant: same container, same
 // validation, but the event columns stream window by window.
+// container_roster names a dataset directory's containers, and
+// merge_event_streams k-way merges their readers into one event stream:
+// together they are the one binary load path, for the monolithic
+// dataset.tdf (a one-container roster) and sharded layouts alike.
 //
 // Damage policy mirrors the text ingest taxonomy:
 //   * container damage (bad magic, version mismatch, truncation, mangled
@@ -28,6 +32,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -195,6 +201,44 @@ class SegmentReader {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// K-way merge of the readers' event streams by (time, reader index),
+/// returning the merged columns.  Reader k holds strictly earlier stream
+/// positions than reader k+1 at equal timestamps, so merging the shards
+/// of one stream reproduces it exactly.  Each run of rows that sorts
+/// before every other reader's head is copied in one bulk insert; the
+/// run ends at the first row that does not (a linear scan, so the output
+/// equals a per-row heap merge even on non-monotonic input).  Drains the
+/// readers' event windows; side segments stay readable.
+[[nodiscard]] EventWindow merge_event_streams(std::span<SegmentReader> readers);
+
+/// A dataset directory's containers, in stream order, reconciled with
+/// the manifest's `shards N` claim.  A monolithic dataset.tdf takes
+/// precedence and is a one-container roster (the claim describes shard
+/// layouts only).  Otherwise the roster is the contiguous run of
+/// dataset.shard-K.tdf files from K = 0, cut to the claim when the claim
+/// is smaller.  Each disagreement between the claim and that run is one
+/// E_PARTIAL_SHARD_SET mismatch.  Nothing is sized by the claim, so an
+/// absurd count costs nothing.
+struct ContainerRoster {
+  enum class Layout { kNone, kMonolithic, kSharded };
+
+  struct Mismatch {
+    std::string file;
+    std::string detail;
+    bool missing = false;  ///< the claim names this container; the disk lacks it
+  };
+
+  Layout layout = Layout::kNone;
+  std::vector<std::string> files;  ///< containers to read, stream order
+  std::vector<Mismatch> mismatches;
+
+  [[nodiscard]] bool binary() const noexcept { return layout != Layout::kNone; }
+  [[nodiscard]] bool sharded() const noexcept { return layout == Layout::kSharded; }
+};
+
+[[nodiscard]] ContainerRoster container_roster(
+    const std::filesystem::path& dir, std::optional<std::uint64_t> claimed_shards = {});
 
 /// Container inspection for `titan-convert --info`: header fields plus
 /// the segment table, without decoding the columns.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/events_view.hpp"
+
 namespace titan::analysis {
 namespace {
 
@@ -25,7 +27,8 @@ TEST(Frequency, MonthlyCountsOnlyMatchingKind) {
       ev(kBegin + 200, ErrorKind::kOffTheBus),
       ev(kBegin + 40 * stats::kSecondsPerDay, ErrorKind::kDoubleBitError),
   };
-  const auto series = monthly_frequency(events, ErrorKind::kDoubleBitError, kBegin, kEnd);
+  const auto series =
+      monthly_frequency(EventFrame::build(events), ErrorKind::kDoubleBitError, kBegin, kEnd);
   ASSERT_EQ(series.counts.size(), 3U);
   EXPECT_EQ(series.counts[0], 1U);
   EXPECT_EQ(series.counts[1], 1U);
@@ -38,7 +41,7 @@ TEST(Frequency, MtbfMatchesHandComputation) {
   for (int i = 0; i < 23; ++i) {
     events.push_back(ev(kBegin + i * 90000, ErrorKind::kDoubleBitError));
   }
-  const auto est = kind_mtbf(events, ErrorKind::kDoubleBitError, kBegin, kEnd);
+  const auto est = kind_mtbf(EventFrame::build(events), ErrorKind::kDoubleBitError, kBegin, kEnd);
   EXPECT_EQ(est.event_count, 23U);
   const double window_h = static_cast<double>(kEnd - kBegin) / 3600.0;
   EXPECT_NEAR(est.mtbf_hours, window_h / 23.0, 1e-9);
@@ -50,7 +53,8 @@ TEST(Frequency, DispersionPoissonNearOne) {
   for (stats::TimeSec t = kBegin; t < kEnd; t += stats::kSecondsPerDay) {
     events.push_back(ev(t + 3600, ErrorKind::kGpuStoppedProcessing));
   }
-  const double d = daily_dispersion_index(events, ErrorKind::kGpuStoppedProcessing, kBegin, kEnd);
+  const double d = daily_dispersion_index(EventFrame::build(events),
+                                          ErrorKind::kGpuStoppedProcessing, kBegin, kEnd);
   EXPECT_LT(d, 0.2);
 }
 
@@ -62,14 +66,13 @@ TEST(Frequency, DispersionBurstyIsLarge) {
                         ErrorKind::kGraphicsEngineException));
   }
   const double d =
-      daily_dispersion_index(events, ErrorKind::kGraphicsEngineException, kBegin, kEnd);
+      daily_dispersion_index(EventFrame::build(events), ErrorKind::kGraphicsEngineException,
+                             kBegin, kEnd);
   EXPECT_GT(d, 10.0);
 }
 
 TEST(Frequency, DispersionNoEventsIsZero) {
-  EXPECT_EQ(daily_dispersion_index(std::span<const parse::ParsedEvent>{}, ErrorKind::kOffTheBus,
-                                   kBegin, kEnd),
-            0.0);
+  EXPECT_EQ(daily_dispersion_index(EventFrame{}, ErrorKind::kOffTheBus, kBegin, kEnd), 0.0);
 }
 
 TEST(EventsView, AsParsedDropsSbe) {
@@ -85,14 +88,6 @@ TEST(EventsView, AsParsedDropsSbe) {
   EXPECT_EQ(parsed[0].time, 42);
   EXPECT_EQ(parsed[0].node, 7);
   EXPECT_EQ(parsed[0].structure, xid::MemoryStructure::kRegisterFile);
-}
-
-TEST(EventsView, OfKindAndTimes) {
-  const std::vector<ParsedEvent> events{ev(1, ErrorKind::kOffTheBus),
-                                        ev(2, ErrorKind::kDoubleBitError),
-                                        ev(3, ErrorKind::kOffTheBus)};
-  EXPECT_EQ(of_kind(events, ErrorKind::kOffTheBus).size(), 2U);
-  EXPECT_EQ(times_of_kind(events, ErrorKind::kOffTheBus), (std::vector<stats::TimeSec>{1, 3}));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(FollowMatrix, DetectsFollowingPairs) {
     events.push_back(ev(i * 10000 + 60, ErrorKind::kPreemptiveCleanup));
   }
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(EventFrame::build(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 1.0);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kPreemptiveCleanup, ErrorKind::kDoubleBitError), 0.0);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kDoubleBitError), 0.0);
@@ -36,7 +36,7 @@ TEST(FollowMatrix, WindowBoundaryExclusive) {
   std::vector<ParsedEvent> events{ev(0, ErrorKind::kDoubleBitError),
                                   ev(300, ErrorKind::kPreemptiveCleanup)};
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(EventFrame::build(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 0.0);
 }
 
@@ -45,11 +45,11 @@ TEST(FollowMatrix, DiagonalCapturesBursts) {
   std::vector<ParsedEvent> events;
   for (int i = 0; i < 5; ++i) events.push_back(ev(i, ErrorKind::kGraphicsEngineException));
   const std::vector<ErrorKind> kinds{ErrorKind::kGraphicsEngineException};
-  const auto with_same = follow_matrix(events, kinds, 300.0, true);
+  const auto with_same = follow_matrix(EventFrame::build(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(
       with_same.at(ErrorKind::kGraphicsEngineException, ErrorKind::kGraphicsEngineException),
       0.8);
-  const auto without_same = follow_matrix(events, kinds, 300.0, false);
+  const auto without_same = follow_matrix(EventFrame::build(events), kinds, 300.0, false);
   EXPECT_DOUBLE_EQ(
       without_same.at(ErrorKind::kGraphicsEngineException, ErrorKind::kGraphicsEngineException),
       0.0);
@@ -62,7 +62,7 @@ TEST(FollowMatrix, MultipleFollowersCountOnce) {
       ev(0, ErrorKind::kDoubleBitError), ev(1, ErrorKind::kPreemptiveCleanup),
       ev(2, ErrorKind::kPreemptiveCleanup), ev(3, ErrorKind::kPreemptiveCleanup)};
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(EventFrame::build(events), kinds, 300.0, true);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 1.0);
 }
 
@@ -71,7 +71,7 @@ TEST(FollowMatrix, KindsOutsideInterestIgnored) {
                                   ev(1, ErrorKind::kOffTheBus),
                                   ev(2, ErrorKind::kPreemptiveCleanup)};
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(EventFrame::build(events), kinds, 300.0, true);
   EXPECT_THROW((void)m.at(ErrorKind::kOffTheBus, ErrorKind::kDoubleBitError),
                std::invalid_argument);
   EXPECT_DOUBLE_EQ(m.at(ErrorKind::kDoubleBitError, ErrorKind::kPreemptiveCleanup), 1.0);
@@ -91,7 +91,7 @@ TEST(FollowMatrix, IsolatedKindsHaveEmptyDiagonal) {
   events.push_back(ev(100000, ErrorKind::kOffTheBus));
   events.push_back(ev(200000, ErrorKind::kOffTheBus));
   const std::vector<ErrorKind> kinds{ErrorKind::kGraphicsEngineException, ErrorKind::kOffTheBus};
-  const auto m = follow_matrix(events, kinds, 300.0, true);
+  const auto m = follow_matrix(EventFrame::build(events), kinds, 300.0, true);
   const auto isolated = isolated_kinds(m);
   ASSERT_EQ(isolated.size(), 1U);
   EXPECT_EQ(isolated[0], ErrorKind::kOffTheBus);
@@ -99,7 +99,7 @@ TEST(FollowMatrix, IsolatedKindsHaveEmptyDiagonal) {
 
 TEST(FollowMatrix, LabelsMatchTokens) {
   const std::vector<ErrorKind> kinds{ErrorKind::kDoubleBitError, ErrorKind::kOffTheBus};
-  const auto m = follow_matrix(std::span<const parse::ParsedEvent>{}, kinds, 300.0, true);
+  const auto m = follow_matrix(EventFrame{}, kinds, 300.0, true);
   EXPECT_EQ(m.labels(), (std::vector<std::string>{"DBE", "OTB"}));
 }
 

@@ -18,14 +18,14 @@ ParsedEvent ev(stats::TimeSec t, ErrorKind kind) {
 
 /// A stream where every DBE is followed by a cleanup 10 s later, and
 /// unrelated OTBs occur far from everything.
-std::vector<ParsedEvent> deterministic_stream(int pairs) {
+EventFrame deterministic_stream(int pairs) {
   std::vector<ParsedEvent> events;
   for (int i = 0; i < pairs; ++i) {
     events.push_back(ev(i * 10000, ErrorKind::kDoubleBitError));
     events.push_back(ev(i * 10000 + 10, ErrorKind::kPreemptiveCleanup));
     events.push_back(ev(i * 10000 + 5000, ErrorKind::kOffTheBus));
   }
-  return events;
+  return EventFrame::build(events);
 }
 
 TEST(Prediction, LearnsPerfectPrecursor) {
@@ -49,7 +49,7 @@ TEST(Prediction, UnrelatedKindsGetNoRule) {
 }
 
 TEST(Prediction, MinSupportFiltersRareKinds) {
-  auto training = deterministic_stream(3);  // support 3 < min_support 5
+  const auto training = deterministic_stream(3);  // support 3 < min_support 5
   const auto predictor =
       FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0, 5);
   EXPECT_TRUE(predictor.rules().empty());
@@ -58,11 +58,12 @@ TEST(Prediction, MinSupportFiltersRareKinds) {
 TEST(Prediction, SelfRulesExcludedByDefault) {
   std::vector<ParsedEvent> burst;
   for (int i = 0; i < 50; ++i) burst.push_back(ev(i, ErrorKind::kGraphicsEngineException));
+  const auto frame = EventFrame::build(burst);
   const auto predictor =
-      FailurePredictor::fit(burst, ErrorKind::kGraphicsEngineException, 300.0);
+      FailurePredictor::fit(frame, ErrorKind::kGraphicsEngineException, 300.0);
   EXPECT_TRUE(predictor.rules().empty());
   const auto with_self =
-      FailurePredictor::fit(burst, ErrorKind::kGraphicsEngineException, 300.0, 5, true);
+      FailurePredictor::fit(frame, ErrorKind::kGraphicsEngineException, 300.0, 5, true);
   ASSERT_EQ(with_self.rules().size(), 1U);
   EXPECT_GT(with_self.rules().front().probability, 0.9);
 }
@@ -84,13 +85,14 @@ TEST(Prediction, PerfectEvaluationOnDeterministicStream) {
 
 TEST(Prediction, ThresholdSilencesWeakRules) {
   // DBE -> cleanup only half the time.
-  std::vector<ParsedEvent> training;
+  std::vector<ParsedEvent> events;
   for (int i = 0; i < 40; ++i) {
-    training.push_back(ev(i * 10000, ErrorKind::kDoubleBitError));
+    events.push_back(ev(i * 10000, ErrorKind::kDoubleBitError));
     if (i % 2 == 0) {
-      training.push_back(ev(i * 10000 + 10, ErrorKind::kPreemptiveCleanup));
+      events.push_back(ev(i * 10000 + 10, ErrorKind::kPreemptiveCleanup));
     }
   }
+  const auto training = EventFrame::build(events);
   const auto predictor =
       FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
   ASSERT_FALSE(predictor.rules().empty());
@@ -102,10 +104,11 @@ TEST(Prediction, ThresholdSilencesWeakRules) {
 TEST(Prediction, PrecisionDegradesGracefully) {
   const auto training = deterministic_stream(20);
   // Evaluation stream where cleanups never actually follow.
-  std::vector<ParsedEvent> eval_stream;
+  std::vector<ParsedEvent> events;
   for (int i = 0; i < 10; ++i) {
-    eval_stream.push_back(ev(i * 10000, ErrorKind::kDoubleBitError));
+    events.push_back(ev(i * 10000, ErrorKind::kDoubleBitError));
   }
+  const auto eval_stream = EventFrame::build(events);
   const auto predictor =
       FailurePredictor::fit(training, ErrorKind::kPreemptiveCleanup, 300.0);
   const auto eval = predictor.evaluate(eval_stream, 0.5);
@@ -116,7 +119,7 @@ TEST(Prediction, PrecisionDegradesGracefully) {
 }
 
 TEST(Prediction, EmptyInputsSafe) {
-  constexpr std::span<const parse::ParsedEvent> kNoEvents;
+  const EventFrame kNoEvents;
   const auto predictor = FailurePredictor::fit(kNoEvents, ErrorKind::kPageRetirement, 300.0);
   EXPECT_TRUE(predictor.rules().empty());
   const auto eval = predictor.evaluate(kNoEvents, 0.5);

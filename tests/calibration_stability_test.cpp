@@ -6,7 +6,6 @@
 
 #include <unordered_set>
 
-#include "analysis/events_view.hpp"
 #include "analysis/frequency.hpp"
 #include "analysis/sbe_study.hpp"
 #include "core/facility.hpp"
@@ -29,10 +28,10 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(SeedSweep, DbeRatePlausible) {
-  const auto events = analysis::as_parsed(dataset().events);
+  const auto frame = analysis::EventFrame::build(dataset().events);
   const auto& period = dataset().config.period;
   const auto mtbf =
-      analysis::kind_mtbf(events, xid::ErrorKind::kDoubleBitError, period.begin, period.end);
+      analysis::kind_mtbf(frame, xid::ErrorKind::kDoubleBitError, period.begin, period.end);
   EXPECT_GE(mtbf.event_count, 4U);
   EXPECT_LE(mtbf.event_count, 40U);
 }
@@ -69,12 +68,12 @@ TEST_P(SeedSweep, Xid42NeverAndXid32Rare) {
 }
 
 TEST_P(SeedSweep, UserAppBurstierThanDriverErrors) {
-  const auto events = analysis::as_parsed(dataset().events);
+  const auto frame = analysis::EventFrame::build(dataset().events);
   const auto& period = dataset().config.period;
   const double d13 = analysis::daily_dispersion_index(
-      events, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
+      frame, xid::ErrorKind::kGraphicsEngineException, period.begin, period.end);
   const double d43 = analysis::daily_dispersion_index(
-      events, xid::ErrorKind::kGpuStoppedProcessing, period.begin, period.end);
+      frame, xid::ErrorKind::kGpuStoppedProcessing, period.begin, period.end);
   EXPECT_GT(d13, d43);
 }
 

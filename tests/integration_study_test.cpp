@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <vector>
 
 #include "analysis/frequency.hpp"
 #include "analysis/reliability_report.hpp"
@@ -24,6 +25,17 @@ const study::StudyContext& context() {
 }
 
 const core::StudyDataset& truth() { return *context().truth; }
+
+/// The console-view XID 13 rows of the study frame, for the row-based
+/// parse::filter_events.
+std::vector<parse::ParsedEvent> xid13_rows() {
+  const auto& frame = context().frame;
+  std::vector<parse::ParsedEvent> out;
+  for (const auto row : frame.rows_of(xid::ErrorKind::kGraphicsEngineException)) {
+    out.push_back(frame.row(row));
+  }
+  return out;
+}
 
 TEST(Integration, SimulatedContextCarriesEveryCapability) {
   EXPECT_TRUE(context().has(study::kEvents | study::kLedger | study::kSnapshot |
@@ -50,8 +62,7 @@ TEST(Integration, FiveSecondFilterRecoversGroundTruthRoots) {
   // The paper's 5 s rule must recover (approximately) the true root count
   // for XID 13: one root per crashing debug job.  Ground truth comes off
   // the truth frame's root column.
-  const auto xid13 =
-      analysis::of_kind(context().events, xid::ErrorKind::kGraphicsEngineException);
+  const auto xid13 = xid13_rows();
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0});
 
   std::size_t true_roots = 0;
@@ -68,8 +79,7 @@ TEST(Integration, FiveSecondFilterRecoversGroundTruthRoots) {
 }
 
 TEST(Integration, FilteredChildrenAreMostlyTrueChildren) {
-  const auto xid13 =
-      analysis::of_kind(context().events, xid::ErrorKind::kGraphicsEngineException);
+  const auto xid13 = xid13_rows();
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0});
   std::size_t true_children = 0;
   const auto roots = context().truth_frame.roots();
@@ -123,8 +133,7 @@ TEST(Integration, SecSeesEveryConsoleEvent) {
 TEST(Integration, BadNodeAnecdoteVisibleInPerNodeFilter) {
   // Observation 8: the bad node's XID 13 rate stands out when events are
   // deduped per node.
-  const auto xid13 =
-      analysis::of_kind(context().events, xid::ErrorKind::kGraphicsEngineException);
+  const auto xid13 = xid13_rows();
   const auto filtered = parse::filter_events(xid13, parse::FilterParams{5.0,
                                              parse::FilterScope::kPerNode});
   std::unordered_map<topology::NodeId, int> per_node;

@@ -5,7 +5,9 @@
 // remapping) and the roster-scaled fleet keep the same property.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "par/pool.hpp"
 #include "study/registry.hpp"
@@ -41,10 +43,25 @@ ReportBytes run_under(const profile::FleetProfile& fleet, std::size_t threads) {
   return {report.text(), report.json()};
 }
 
-class ProfileDeterminism : public testing::TestWithParam<const profile::FleetProfile*> {};
+// Wraps the profile pointer so gtest prints the profile name, not its
+// address: the address moves with every load of the binary, and gtest
+// puts the printed value into each listed test name.
+struct ProfileParam {
+  const profile::FleetProfile* fleet;
+};
+
+void PrintTo(const ProfileParam& param, std::ostream* os) { *os << param.fleet->name; }
+
+std::vector<ProfileParam> builtin_params() {
+  std::vector<ProfileParam> params;
+  for (const auto* fleet : profile::builtin_profiles()) params.push_back({fleet});
+  return params;
+}
+
+class ProfileDeterminism : public testing::TestWithParam<ProfileParam> {};
 
 TEST_P(ProfileDeterminism, ReportBytesAreWidthInvariant) {
-  const auto& fleet = *GetParam();
+  const auto& fleet = *GetParam().fleet;
   const auto serial = run_under(fleet, 1);
   const auto wide = run_under(fleet, 4);
   EXPECT_EQ(serial.text, wide.text);
@@ -53,7 +70,7 @@ TEST_P(ProfileDeterminism, ReportBytesAreWidthInvariant) {
 }
 
 TEST_P(ProfileDeterminism, RerunsAreByteIdentical) {
-  const auto& fleet = *GetParam();
+  const auto& fleet = *GetParam().fleet;
   const auto first = run_under(fleet, 2);
   const auto second = run_under(fleet, 2);
   EXPECT_EQ(first.text, second.text);
@@ -61,10 +78,9 @@ TEST_P(ProfileDeterminism, RerunsAreByteIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuiltins, ProfileDeterminism,
-                         testing::ValuesIn(profile::builtin_profiles().begin(),
-                                           profile::builtin_profiles().end()),
+                         testing::ValuesIn(builtin_params()),
                          [](const auto& param_info) {
-                           std::string name{param_info.param->name};
+                           std::string name{param_info.param.fleet->name};
                            for (auto& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -3,7 +3,8 @@
 // merge ordering with equal timestamps across shards, streaming
 // SegmentReader equivalence at tiny windows, and the sharded layout's
 // failure taxonomy (corrupt shard named, missing shard fatal, meta
-// window disagreement named).
+// window disagreement named, the manifest's shard claim reconciled with
+// the containers on disk).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,6 +16,8 @@
 
 #include "core/facility.hpp"
 #include "ingest/triage.hpp"
+#include "study/fsck.hpp"
+#include "study/io.hpp"
 #include "par/pool.hpp"
 #include "study/registry.hpp"
 #include "study/sharded.hpp"
@@ -348,6 +351,65 @@ TEST(StudySharded, EmptyShardedDatasetRejectedWithNoEvents) {
   } catch (const IngestError& error) {
     EXPECT_EQ(error.code(), TriageCode::kNoEvents);
   }
+}
+
+/// A copy of the 3-shard dataset whose manifest claims `claim` shards;
+/// every container keeps its checksum claim.
+fs::path with_shard_claim(const std::string& name, const std::string& claim) {
+  const auto dir = scratch_root() / name;
+  fs::remove_all(dir);
+  fs::copy(sharded_dir(3), dir);
+  auto manifest = study::read_lines(dir / "manifest.txt");
+  const auto line = std::find(manifest.begin(), manifest.end(), "shards 3");
+  EXPECT_NE(line, manifest.end());
+  if (line != manifest.end()) *line = "shards " + claim;
+  study::write_lines(dir / "manifest.txt", manifest);
+  return dir;
+}
+
+TEST(StudySharded, ClaimBelowTheShardsOnDiskIsNeverASilentDrop) {
+  const auto dir = with_shard_claim("claim_below", "2");
+  try {
+    (void)study::DatasetSource{dir, IngestPolicy::kStrict}.load();
+    FAIL() << "a strict load must not drop the unclaimed shard";
+  } catch (const IngestError& error) {
+    EXPECT_EQ(error.code(), TriageCode::kPartialShardSet);
+    EXPECT_EQ(error.file(), tdf::shard_file_name(2));
+  }
+
+  // Salvage loads the claimed roster and records the container it leaves
+  // out.
+  const auto context = study::DatasetSource{dir, IngestPolicy::kSalvage}.load();
+  ASSERT_TRUE(context.ingest_report.has_value());
+  EXPECT_EQ(context.ingest_report->count(TriageCode::kPartialShardSet), 1U);
+  EXPECT_EQ(context.load_stats.shards, 2U);
+  const auto full = study::DatasetSource{sharded_dir(3)}.load();
+  EXPECT_LT(context.events.size(), full.events.size());
+}
+
+TEST(StudySharded, AbsurdShardClaimIsAFindingNotAnAllocation) {
+  const auto dir = with_shard_claim("claim_absurd", "4611686018427387904");
+  try {
+    (void)study::DatasetSource{dir, IngestPolicy::kStrict}.load();
+    FAIL() << "a strict load must reject the claim";
+  } catch (const IngestError& error) {
+    EXPECT_EQ(error.code(), TriageCode::kPartialShardSet);
+    EXPECT_EQ(error.file(), tdf::shard_file_name(3));
+  }
+
+  // Salvage records the claim and loads every container the manifest
+  // vouches for by checksum: nothing is dropped.
+  const auto context = study::DatasetSource{dir, IngestPolicy::kSalvage}.load();
+  ASSERT_TRUE(context.ingest_report.has_value());
+  EXPECT_EQ(context.ingest_report->count(TriageCode::kPartialShardSet), 1U);
+  EXPECT_EQ(context.load_stats.shards, 3U);
+  EXPECT_EQ(context.events, study::DatasetSource{sharded_dir(3)}.load().events);
+
+  // fsck names the same disagreement (and does not walk the claim).
+  const auto fsck = study::fsck_dataset(dir);
+  ASSERT_EQ(fsck.findings.size(), 1U) << fsck.report_text();
+  EXPECT_EQ(fsck.findings[0].code, TriageCode::kPartialShardSet);
+  EXPECT_EQ(fsck.findings[0].file, tdf::shard_file_name(3));
 }
 
 }  // namespace

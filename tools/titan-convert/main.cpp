@@ -49,22 +49,23 @@ int usage() {
 }
 
 int info(const fs::path& arg) {
-  fs::path path = arg;
-  if (fs::is_directory(path)) {
-    const auto mono = path / std::string{tdf::kTdfFileName};
-    if (!fs::exists(mono) && fs::exists(path / tdf::shard_file_name(0))) {
-      // Sharded layout: one segment table per shard, in shard order.
-      for (std::size_t s = 0; fs::exists(path / tdf::shard_file_name(s)); ++s) {
-        const auto name = tdf::shard_file_name(s);
-        const auto summary = tdf::inspect_tdf(path / name).summary_text();
-        std::printf("shard %zu: %s\n%s", s, name.c_str(), summary.c_str());
-      }
-      return 0;
-    }
-    path = mono;
+  if (!fs::is_directory(arg)) {
+    std::printf("%s", tdf::inspect_tdf(arg).summary_text().c_str());
+    return 0;
   }
-  const auto summary = tdf::inspect_tdf(path).summary_text();
-  std::printf("%s", summary.c_str());
+  const auto roster = tdf::container_roster(arg);
+  if (!roster.sharded()) {
+    // A directory without containers names the missing dataset.tdf.
+    std::printf("%s",
+                tdf::inspect_tdf(arg / std::string{tdf::kTdfFileName}).summary_text().c_str());
+    return 0;
+  }
+  // Sharded layout: one segment table per shard, in shard order.
+  for (std::size_t s = 0; s < roster.files.size(); ++s) {
+    const auto& name = roster.files[s];
+    const auto summary = tdf::inspect_tdf(arg / name).summary_text();
+    std::printf("shard %zu: %s\n%s", s, name.c_str(), summary.c_str());
+  }
   return 0;
 }
 
@@ -76,8 +77,7 @@ int fsck(const fs::path& dir) {
 
 int convert(const fs::path& src, const fs::path& dst, std::string_view to, bool salvage,
             std::size_t shards, const profile::FleetProfile* expected) {
-  const bool src_binary = fs::exists(src / std::string{tdf::kTdfFileName}) ||
-                          fs::exists(src / tdf::shard_file_name(0));
+  const bool src_binary = tdf::container_roster(src).binary();
   study::DatasetFormat format;
   if (to == "binary" || (to.empty() && (shards > 0 || !src_binary))) {
     format = study::DatasetFormat::kBinary;
