@@ -1,6 +1,7 @@
 // Performance microbenches (google-benchmark) for the framework's hot
 // kernels: SECDED codec, console-line emit/parse, temporal filtering,
-// correlation statistics, topology math, and a small end-to-end study.
+// correlation statistics, topology math, the workload simulator and its
+// job-trace index, and a small end-to-end study.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -20,6 +21,8 @@
 #include "par/pool.hpp"
 #include "parse/console.hpp"
 #include "parse/filter.hpp"
+#include "sched/users.hpp"
+#include "sched/workload.hpp"
 #include "stats/correlation.hpp"
 #include "stats/distributions.hpp"
 #include "topology/machine.hpp"
@@ -158,6 +161,45 @@ void BM_PoissonProcess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoissonProcess);
+
+/// The quick study's workload: user population, then the batch-job
+/// simulation through the torus allocator into a JobTrace.
+[[nodiscard]] sched::WorkloadResult quick_workload() {
+  const auto config = core::quick_config(20151115);
+  const stats::Rng master{config.seed};
+  const auto users = sched::make_user_population(config.users, master.fork("users"));
+  return sched::simulate_workload(config.workload, users, master.fork("workload"));
+}
+
+void BM_SimulateWorkload(benchmark::State& state) {
+  // Allocator first fit and release, plus the JobTrace index build.
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    const auto result = quick_workload();
+    jobs = result.trace.jobs().size();
+    benchmark::DoNotOptimize(&result);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs));
+}
+BENCHMARK(BM_SimulateWorkload)->Unit(benchmark::kMillisecond);
+
+void BM_JobTraceBuild(benchmark::State& state) {
+  // The occupancy index alone, over the quick study's jobs (the copy of
+  // the job records is not timed).
+  static const auto result = quick_workload();
+  const auto& jobs = result.trace.jobs();
+  std::int64_t placements = 0;
+  for (const auto& job : jobs) placements += static_cast<std::int64_t>(job.nodes.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto copy = jobs;
+    state.ResumeTiming();
+    const sched::JobTrace trace{std::move(copy)};
+    benchmark::DoNotOptimize(&trace);
+  }
+  state.SetItemsProcessed(state.iterations() * placements);
+}
+BENCHMARK(BM_JobTraceBuild)->Unit(benchmark::kMillisecond);
 
 void BM_QuickStudyEndToEnd(benchmark::State& state) {
   // Full machine, 3-month campaign: the integration-test workload.

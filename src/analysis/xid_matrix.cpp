@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 namespace titan::analysis {
 
@@ -28,47 +30,64 @@ FollowMatrix follow_matrix(const EventFrame& frame,
                            bool include_same_type) {
   const std::size_t n = kinds_of_interest.size();
   // Flat ErrorKind -> matrix-index table (npos marks kinds outside the
-  // matrix), replacing the per-event unordered_map probes.
+  // matrix).  A kind listed twice would make the table and
+  // FollowMatrix::at disagree on its row, so it is rejected.
   constexpr std::size_t kNotOfInterest = static_cast<std::size_t>(-1);
   std::array<std::size_t, xid::kErrorKindCount> kind_index;
   kind_index.fill(kNotOfInterest);
   for (std::size_t i = 0; i < n; ++i) {
-    kind_index[static_cast<std::size_t>(kinds_of_interest[i])] = i;
+    auto& slot = kind_index[static_cast<std::size_t>(kinds_of_interest[i])];
+    if (slot != kNotOfInterest) throw std::invalid_argument{"follow_matrix: kind listed twice"};
+    slot = i;
   }
 
-  stats::Grid2D followed{std::max<std::size_t>(n, 1), std::max<std::size_t>(n, 1)};
-  std::vector<std::uint64_t> occurrences(n, 0);
   const auto window = static_cast<stats::TimeSec>(std::llround(window_s));
   const auto times = frame.times();
   const auto kinds = frame.kinds();
 
-  // `seen` reset is O(1) per outer event: a slot counts as set only when
-  // stamped with the current outer index.
-  std::vector<std::size_t> seen_stamp(n, kNotOfInterest);
-  for (std::size_t i = 0; i < frame.size(); ++i) {
+  // One backward sweep, O(rows x kinds).  The forward definition scans
+  // from row i until the first row at or past t_i + window, so row i has
+  // a follower of kind b exactly when every row from i+1 up to the next
+  // kind-b row is in window -- i.e. when the largest of those times is.
+  // For each matrix kind b the sweep keeps `ahead[b]` (a kind-b row lies
+  // below the cursor) and `reach[b]` (the largest time over the rows
+  // from below the cursor through that nearest kind-b row).  Every row
+  // raises each reach, so the test holds for rows in any time order.
+  std::vector<std::uint64_t> followed(n * n, 0);
+  std::vector<std::uint64_t> occurrences(n, 0);
+  std::vector<stats::TimeSec> reach(n, 0);
+  std::vector<std::uint8_t> ahead(n, 0);
+  for (std::size_t i = frame.size(); i-- > 0;) {
+    const stats::TimeSec t = times[i];
     const std::size_t a = kind_index[static_cast<std::size_t>(kinds[i])];
-    if (a == kNotOfInterest) continue;
-    ++occurrences[a];
-    for (std::size_t j = i + 1; j < frame.size(); ++j) {
-      if (times[j] - times[i] >= window) break;
-      const std::size_t b = kind_index[static_cast<std::size_t>(kinds[j])];
-      if (b == kNotOfInterest) continue;
-      if (!include_same_type && b == a) continue;
-      if (seen_stamp[b] != i) {
-        seen_stamp[b] = i;
-        followed.add(a, b);
+    if (a != kNotOfInterest) {
+      ++occurrences[a];
+      std::uint64_t* row = followed.data() + a * n;
+      for (std::size_t b = 0; b < n; ++b) {
+        if (ahead[b] != 0 && reach[b] - t < window) ++row[b];
       }
     }
+    for (std::size_t b = 0; b < n; ++b) reach[b] = std::max(reach[b], t);
+    if (a != kNotOfInterest) {
+      reach[a] = t;
+      ahead[a] = 1;
+    }
   }
+
+  // Excluding same-type followers only drops the diagonal: a skipped
+  // same-kind row never ends the forward scan.
+  stats::Grid2D fractions{std::max<std::size_t>(n, 1), std::max<std::size_t>(n, 1)};
   for (std::size_t a = 0; a < n; ++a) {
+    if (occurrences[a] == 0) continue;
     for (std::size_t b = 0; b < n; ++b) {
-      followed.at(a, b) =
-          occurrences[a] > 0 ? followed.at(a, b) / static_cast<double>(occurrences[a]) : 0.0;
+      if (!include_same_type && b == a) continue;
+      fractions.at(a, b) =
+          static_cast<double>(followed[a * n + b]) / static_cast<double>(occurrences[a]);
     }
   }
   return FollowMatrix{std::vector<xid::ErrorKind>(kinds_of_interest.begin(),
                                                   kinds_of_interest.end()),
-                      std::move(followed)};
+                      std::move(fractions)};
 }
 
 std::vector<xid::ErrorKind> fig13_kinds() {

@@ -29,10 +29,12 @@ struct FollowMatrix {
 };
 
 /// Compute the following-failure matrix over all kinds present in
-/// `kinds_of_interest`.  `include_same_type` false zeroes the diagonal's
-/// contribution by skipping same-kind followers (the paper's bottom
-/// heatmap).  One pass over the time/kind columns with flat kind-index
-/// tables (no per-event hashing, no per-event `seen` allocation).
+/// `kinds_of_interest`.  Row i counts a kind-B follower when the forward
+/// scan from i, stopping at the first row at or past t_i + window, meets a
+/// B row -- for rows in any time order.  `include_same_type` false zeroes
+/// the diagonal (the paper's bottom heatmap).  One backward sweep over the
+/// time/kind columns, O(rows x kinds): bursts cost nothing extra.  Throws
+/// std::invalid_argument when a kind is listed twice.
 [[nodiscard]] FollowMatrix follow_matrix(const EventFrame& frame,
                                          std::span<const xid::ErrorKind> kinds_of_interest,
                                          double window_s, bool include_same_type);

@@ -1,7 +1,7 @@
 #include "sched/allocator.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 #include <stdexcept>
 
 namespace titan::sched {
@@ -12,49 +12,52 @@ using topology::kGeminiCount;
 using topology::kNodeSlots;
 using topology::NodeId;
 
-// Torus rank of the Gemini serving a node.
-[[nodiscard]] std::size_t rank_of_node(NodeId node) {
-  return static_cast<std::size_t>(topology::torus_rank(topology::torus_coord(node)));
-}
-
 // Cage (0..2) hosting the Gemini at torus rank `rank`.
-[[nodiscard]] int cage_of_rank(std::size_t rank) {
-  const auto coord = topology::coord_from_rank(static_cast<int>(rank));
-  return coord.z / topology::kBladesPerCage;
+[[nodiscard]] int cage_of_rank(int rank) {
+  return topology::coord_from_rank(rank).z / topology::kBladesPerCage;
 }
 
 }  // namespace
 
-TorusAllocator::TorusAllocator(const std::vector<bool>& usable, PlacementPolicy policy)
-    : geminis_(static_cast<std::size_t>(kGeminiCount)),
-      node_usable_{usable},
-      node_held_(static_cast<std::size_t>(kNodeSlots), false) {
+TorusAllocator::TorusAllocator(const std::vector<bool>& usable, PlacementPolicy policy) {
   if (usable.size() != static_cast<std::size_t>(kNodeSlots)) {
     throw std::invalid_argument{"TorusAllocator: usable mask must cover all node slots"};
   }
-  for (std::size_t rank = 0; rank < geminis_.size(); ++rank) {
-    const auto nodes = topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
-    bool any = false;
-    for (NodeId n : nodes) {
-      if (node_usable_[static_cast<std::size_t>(n)]) {
-        any = true;
+  // Search order: production walks plain torus-rank order over routers
+  // with a usable node; the cool-cage policy visits lower cages first
+  // (Observation 4 ablation).
+  std::vector<int> order;
+  for (int rank = 0; rank < kGeminiCount; ++rank) {
+    const auto nodes = topology::gemini_nodes(topology::coord_from_rank(rank));
+    if (usable[static_cast<std::size_t>(nodes[0])] || usable[static_cast<std::size_t>(nodes[1])]) {
+      order.push_back(rank);
+    }
+  }
+  if (policy == PlacementPolicy::kCoolCageFirst) {
+    std::stable_sort(order.begin(), order.end(),
+                     [](int a, int b) { return cage_of_rank(a) < cage_of_rank(b); });
+  }
+
+  node_slot_.assign(static_cast<std::size_t>(kNodeSlots), kNoSlot);
+  pair_.reserve(order.size());
+  pair_flags_.reserve(order.size());
+  for (const int rank : order) {
+    const auto nodes = topology::gemini_nodes(topology::coord_from_rank(rank));
+    std::uint8_t flags = 0;
+    for (std::size_t half = 0; half < 2; ++half) {
+      const auto idx = static_cast<std::size_t>(nodes[half]);
+      node_slot_[idx] = static_cast<std::uint32_t>(2 * pair_.size() + half);
+      if (usable[idx]) {
+        flags |= static_cast<std::uint8_t>(1U << half);
         ++free_node_count_;
       }
     }
-    geminis_[rank].usable = any;
-    geminis_[rank].free = any;
+    pair_.push_back(nodes);
+    pair_flags_.push_back(flags);
   }
   total_node_count_ = free_node_count_;
-
-  // Search order: production walks plain torus-rank order; the cool-cage
-  // policy visits lower cages first (Observation 4 ablation).
-  for (std::size_t rank = 0; rank < geminis_.size(); ++rank) {
-    if (geminis_[rank].usable) search_order_.push_back(rank);
-  }
-  if (policy == PlacementPolicy::kCoolCageFirst) {
-    std::stable_sort(search_order_.begin(), search_order_.end(),
-                     [](std::size_t a, std::size_t b) { return cage_of_rank(a) < cage_of_rank(b); });
-  }
+  free_bits_.assign((pair_.size() + 63) / 64, 0);
+  for (std::size_t pos = 0; pos < pair_.size(); ++pos) set_free(pos);
 }
 
 TorusAllocator TorusAllocator::production(PlacementPolicy policy) {
@@ -65,41 +68,54 @@ TorusAllocator TorusAllocator::production(PlacementPolicy policy) {
   return TorusAllocator{usable, policy};
 }
 
+std::size_t TorusAllocator::next_position(std::size_t pos, bool free) const noexcept {
+  // Bits past the last position are never set, so they read as busy.
+  const std::size_t size = pair_.size();
+  if (pos >= size) return size;
+  const std::uint64_t flip = free ? 0 : ~std::uint64_t{0};
+  std::size_t w = pos / 64;
+  std::uint64_t word = (free_bits_[w] ^ flip) & (~std::uint64_t{0} << (pos % 64));
+  while (word == 0) {
+    if (++w == free_bits_.size()) return size;
+    word = free_bits_[w] ^ flip;
+  }
+  return std::min(size, w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+}
+
 std::optional<std::size_t> TorusAllocator::find_contiguous(std::size_t count) const {
-  // A "contiguous" block is a run of consecutive entries in the search
-  // order, all currently free; busy routers break a run.  Returns the
-  // starting index into search_order_.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < search_order_.size(); ++i) {
-    if (geminis_[search_order_[i]].free) {
-      ++run;
-      if (run >= count) return i + 1 - count;
-    } else {
-      run = 0;
-    }
+  // A "contiguous" block is a run of consecutive positions in the search
+  // order, all currently free; busy routers break a run.
+  const std::size_t size = pair_.size();
+  for (std::size_t start = next_position(0, true); start < size;) {
+    const std::size_t end = next_position(start, false);
+    if (end - start >= count) return start;
+    start = next_position(end, true);
   }
   return std::nullopt;
 }
 
-void TorusAllocator::collect_nodes(std::size_t rank, std::vector<NodeId>& out,
+void TorusAllocator::collect_nodes(std::size_t pos, std::vector<NodeId>& out,
                                    std::size_t& remaining) {
-  const auto nodes = topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
   // Skip routers whose nodes are all held: reserving them would leak the
   // reservation (a rollback only revisits routers that yielded a node).
-  const bool any_effective = std::any_of(nodes.begin(), nodes.end(), [&](NodeId n) {
-    const auto idx = static_cast<std::size_t>(n);
-    return node_usable_[idx] && !node_held_[idx];
-  });
-  if (!any_effective) return;
-  geminis_[rank].free = false;
-  for (NodeId n : nodes) {
-    const auto idx = static_cast<std::size_t>(n);
-    if (!node_usable_[idx] || node_held_[idx]) continue;
+  const unsigned open = open_nodes(pos);
+  if (open == 0) return;
+  set_busy(pos);
+  for (std::size_t half = 0; half < 2; ++half) {
+    if (((open >> half) & 1U) == 0) continue;
     --free_node_count_;  // the whole router is reserved either way
     if (remaining > 0) {
-      out.push_back(n);
+      out.push_back(pair_[pos][half]);
       --remaining;
     }
+  }
+}
+
+void TorusAllocator::collect_from(std::size_t pos, std::vector<NodeId>& out,
+                                  std::size_t& remaining) {
+  for (pos = next_position(pos, true); remaining > 0 && pos < pair_.size();
+       pos = next_position(pos + 1, true)) {
+    collect_nodes(pos, out, remaining);
   }
 }
 
@@ -115,19 +131,11 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
   out.reserve(node_count);
   std::size_t remaining = node_count;
 
-  if (const auto start = find_contiguous(gemini_demand)) {
-    for (std::size_t i = *start; remaining > 0 && i < search_order_.size(); ++i) {
-      // The found window is free by construction; continue past it only if
-      // holds made some routers yield fewer nodes than expected.
-      if (!geminis_[search_order_[i]].free) continue;
-      collect_nodes(search_order_[i], out, remaining);
-    }
-  }
+  // The found window is free by construction; the walk continues past it
+  // only if holds made some routers yield fewer nodes than expected.
+  if (const auto start = find_contiguous(gemini_demand)) collect_from(*start, out, remaining);
   // Scattered fill (fallback, or tail after an under-yielding window).
-  for (std::size_t i = 0; remaining > 0 && i < search_order_.size(); ++i) {
-    if (!geminis_[search_order_[i]].free) continue;
-    collect_nodes(search_order_[i], out, remaining);
-  }
+  collect_from(0, out, remaining);
   if (remaining > 0) {
     // Could not satisfy after all (holds shrank effective capacity):
     // roll back.
@@ -140,29 +148,33 @@ std::optional<std::vector<NodeId>> TorusAllocator::allocate(std::size_t node_cou
 void TorusAllocator::release(const std::vector<NodeId>& nodes) {
   // A job owns whole routers; freeing any node of a router frees it.
   for (NodeId n : nodes) {
-    const std::size_t rank = rank_of_node(n);
-    if (geminis_[rank].free) continue;  // already freed via its sibling node
-    geminis_[rank].free = true;
-    const auto pair = topology::gemini_nodes(topology::coord_from_rank(static_cast<int>(rank)));
-    for (NodeId sibling : pair) {
-      const auto idx = static_cast<std::size_t>(sibling);
-      if (node_usable_[idx] && !node_held_[idx]) ++free_node_count_;
-    }
+    const std::uint32_t slot = node_slot_[static_cast<std::size_t>(n)];
+    if (slot == kNoSlot || is_free(slot / 2)) continue;  // freed via its sibling node
+    set_free(slot / 2);
+    free_node_count_ += static_cast<std::size_t>(std::popcount(open_nodes(slot / 2)));
   }
 }
 
 void TorusAllocator::hold_node(topology::NodeId node) {
-  const auto idx = static_cast<std::size_t>(node);
-  if (node_held_[idx]) return;
-  node_held_[idx] = true;
-  if (node_usable_[idx] && geminis_[rank_of_node(node)].free) --free_node_count_;
+  const std::uint32_t slot = node_slot_[static_cast<std::size_t>(node)];
+  if (slot == kNoSlot) return;  // no usable node behind this router
+  const std::size_t pos = slot / 2;
+  const unsigned usable = 1U << (slot % 2);
+  const unsigned held = usable << 2;
+  if ((pair_flags_[pos] & held) != 0) return;
+  pair_flags_[pos] = static_cast<std::uint8_t>(pair_flags_[pos] | held);
+  if ((pair_flags_[pos] & usable) != 0 && is_free(pos)) --free_node_count_;
 }
 
 void TorusAllocator::unhold_node(topology::NodeId node) {
-  const auto idx = static_cast<std::size_t>(node);
-  if (!node_held_[idx]) return;
-  node_held_[idx] = false;
-  if (node_usable_[idx] && geminis_[rank_of_node(node)].free) ++free_node_count_;
+  const std::uint32_t slot = node_slot_[static_cast<std::size_t>(node)];
+  if (slot == kNoSlot) return;
+  const std::size_t pos = slot / 2;
+  const unsigned usable = 1U << (slot % 2);
+  const unsigned held = usable << 2;
+  if ((pair_flags_[pos] & held) == 0) return;
+  pair_flags_[pos] = static_cast<std::uint8_t>(pair_flags_[pos] & ~held);
+  if ((pair_flags_[pos] & usable) != 0 && is_free(pos)) ++free_node_count_;
 }
 
 }  // namespace titan::sched

@@ -15,6 +15,7 @@
 // sit in cooler (lower) cages when placing very large jobs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -57,20 +58,49 @@ class TorusAllocator {
   void unhold_node(topology::NodeId node);
 
  private:
-  struct GeminiState {
-    bool usable = false;  ///< at least one usable node behind this router
-    bool free = false;    ///< currently available
-  };
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  /// Try to find a contiguous run of `count` free Gemini ranks.
+  // Free state is one bit per search-order position (see free_bits_).
+  [[nodiscard]] bool is_free(std::size_t pos) const noexcept {
+    return ((free_bits_[pos / 64] >> (pos % 64)) & 1U) != 0;
+  }
+  void set_free(std::size_t pos) noexcept {
+    free_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+  void set_busy(std::size_t pos) noexcept {
+    free_bits_[pos / 64] &= ~(std::uint64_t{1} << (pos % 64));
+  }
+  /// Which of the router's two nodes are usable and not held (bit = half).
+  [[nodiscard]] unsigned open_nodes(std::size_t pos) const noexcept {
+    return pair_flags_[pos] & ~(pair_flags_[pos] >> 2) & 3U;
+  }
+  /// First position at or after `pos` that is free (`free`) or busy
+  /// (!`free`); pair_.size() if none.
+  [[nodiscard]] std::size_t next_position(std::size_t pos, bool free) const noexcept;
+
+  /// First fit: start of the first run of `count` free positions.
   [[nodiscard]] std::optional<std::size_t> find_contiguous(std::size_t count) const;
-  void collect_nodes(std::size_t rank, std::vector<topology::NodeId>& out,
+  /// Reserve the router at free position `pos` and take up to `remaining`
+  /// of its nodes; a router whose usable nodes are all held stays free.
+  void collect_nodes(std::size_t pos, std::vector<topology::NodeId>& out,
                      std::size_t& remaining);
+  /// collect_nodes over the free positions from `pos` on, until
+  /// `remaining` reaches zero.
+  void collect_from(std::size_t pos, std::vector<topology::NodeId>& out,
+                    std::size_t& remaining);
 
-  std::vector<GeminiState> geminis_;       ///< indexed by torus rank
-  std::vector<bool> node_usable_;          ///< indexed by NodeId
-  std::vector<bool> node_held_;            ///< operator holds
-  std::vector<std::size_t> search_order_;  ///< rank visit order per policy
+  // Routers are addressed by their position in the policy's search order;
+  // only routers with a usable node have one.  Two tables built once
+  // replace per-call torus-coordinate math: node -> slot and position ->
+  // node pair.
+  std::vector<std::array<topology::NodeId, 2>> pair_;  ///< position -> its two nodes
+  std::vector<std::uint32_t> node_slot_;  ///< NodeId -> 2 x position + half, or kNoSlot
+  /// Per position: bit h = node h usable, bit 2 + h = node h held.
+  std::vector<std::uint8_t> pair_flags_;
+  /// Bit `pos` is set while that router is free -- the only free state.
+  /// Reserving or freeing a router is one bit flip, and first fit walks
+  /// free runs 64 routers per word with std::countr_zero.
+  std::vector<std::uint64_t> free_bits_;
   std::size_t free_node_count_ = 0;
   std::size_t total_node_count_ = 0;
 };

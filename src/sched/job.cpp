@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "par/parallel.hpp"
+
 namespace titan::sched {
 
 JobTrace::JobTrace(std::vector<JobRecord> jobs) : jobs_{std::move(jobs)} {
@@ -11,15 +13,21 @@ JobTrace::JobTrace(std::vector<JobRecord> jobs) : jobs_{std::move(jobs)} {
     if (jobs_[i].id != static_cast<xid::JobId>(i)) {
       throw std::invalid_argument{"JobTrace: job ids must be dense and 0-based"};
     }
+    if (i > 0 && jobs_[i].start < jobs_[i - 1].start) {
+      throw std::invalid_argument{"JobTrace: job starts must be nondecreasing in job id"};
+    }
   }
 
   if (jobs_.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument{"JobTrace: more than 2^32 jobs"};
   }
 
-  base_ = std::numeric_limits<stats::TimeSec>::max();
-  for (const auto& job : jobs_) base_ = std::min(base_, job.start);
-  if (jobs_.empty()) base_ = 0;
+  // Starts are stored as seconds since base_; the last job starts latest.
+  base_ = jobs_.empty() ? 0 : jobs_.front().start;
+  constexpr auto kMaxSpan = static_cast<stats::TimeSec>(std::numeric_limits<std::uint32_t>::max());
+  if (!jobs_.empty() && jobs_.back().start - base_ > kMaxSpan) {
+    throw std::invalid_argument{"JobTrace: trace spans more than 2^32 seconds"};
+  }
 
   // Counting pass -> exact-sized CSR arrays: no per-node vector slack and
   // no reallocation transient, which matters when the index holds tens of
@@ -32,28 +40,28 @@ JobTrace::JobTrace(std::vector<JobRecord> jobs) : jobs_{std::move(jobs)} {
   }
   for (std::size_t n = 1; n < offsets_.size(); ++n) offsets_[n] += offsets_[n - 1];
 
+  // Scatter in job-id order.  Starts are nondecreasing in id (checked
+  // above), so every node's slice comes out in (start, job) order with no
+  // per-node sort.  Node ranges are independent: one task per pool
+  // thread walks every job and fills only its own nodes' slices -- the
+  // same bytes at any width, and no buffer beyond the entries themselves.
   entries_.resize(offsets_.back());
-  std::vector<std::uint64_t> cursor{offsets_.begin(), offsets_.end() - 1};
-  for (const auto& job : jobs_) {
-    const stats::TimeSec delta = job.start - base_;
-    if (delta > static_cast<stats::TimeSec>(std::numeric_limits<std::uint32_t>::max())) {
-      throw std::invalid_argument{"JobTrace: trace spans more than 2^32 seconds"};
+  const std::size_t nodes = offsets_.size() - 1;
+  const std::size_t ranges = par::thread_count();
+  par::parallel_for(0, ranges, 1, [&](std::size_t r) {
+    const std::size_t lo = nodes * r / ranges;
+    const std::size_t hi = nodes * (r + 1) / ranges;
+    std::vector<std::uint64_t> cursor{offsets_.begin() + static_cast<std::ptrdiff_t>(lo),
+                                      offsets_.begin() + static_cast<std::ptrdiff_t>(hi)};
+    for (const auto& job : jobs_) {
+      const IndexEntry entry{static_cast<std::uint32_t>(job.start - base_),
+                             static_cast<std::uint32_t>(job.id)};
+      for (topology::NodeId node : job.nodes) {
+        const std::size_t slot = static_cast<std::size_t>(node) - lo;  // wraps below lo
+        if (slot < hi - lo) entries_[cursor[slot]++] = entry;
+      }
     }
-    const auto start = static_cast<std::uint32_t>(delta);
-    for (topology::NodeId node : job.nodes) {
-      entries_[cursor[static_cast<std::size_t>(node)]++] =
-          IndexEntry{start, static_cast<std::uint32_t>(job.id)};
-    }
-  }
-
-  const auto before = [](const IndexEntry& a, const IndexEntry& b) {
-    if (a.start != b.start) return a.start < b.start;
-    return a.job < b.job;
-  };
-  for (std::size_t n = 0; n + 1 < offsets_.size(); ++n) {
-    std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[n]),
-              entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[n + 1]), before);
-  }
+  });
 }
 
 const JobRecord& JobTrace::job(xid::JobId id) const {

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "stats/calendar.hpp"
@@ -34,6 +36,9 @@ struct JobRecord {
 /// framework both need.
 class JobTrace {
  public:
+  /// Job ids must be dense and 0-based, and starts nondecreasing in id
+  /// (the order a scheduler starts jobs in); std::invalid_argument
+  /// otherwise.
   explicit JobTrace(std::vector<JobRecord> jobs);
 
   [[nodiscard]] const std::vector<JobRecord>& jobs() const noexcept { return jobs_; }
@@ -55,7 +60,8 @@ class JobTrace {
   std::vector<JobRecord> jobs_;  ///< indexed by JobId (ids are dense, 0-based)
 
   /// Occupancy index in CSR form: node n owns the slice
-  /// [offsets_[n], offsets_[n+1]) of entries_, sorted by (start, job);
+  /// [offsets_[n], offsets_[n+1]) of entries_, in (start, job) order by
+  /// construction (an id-order scatter of id-ordered starts);
   /// intervals within one node never overlap.  One flat 8-byte entry per
   /// (job x allocated node) -- at Titan scale that is tens of millions of
   /// entries, and the flat exact-sized layout (vs a vector-of-vectors of
@@ -66,12 +72,25 @@ class JobTrace {
   /// are dense and 0-based by construction), keeping the entry at 8
   /// bytes -- a 64-bit xid::JobId would pad it to 16.
   struct IndexEntry {
-    std::uint32_t start = 0;  ///< seconds since base_
-    std::uint32_t job = 0;    ///< dense job index (== xid::JobId value)
+    std::uint32_t start;  ///< seconds since base_
+    std::uint32_t job;    ///< dense job index (== xid::JobId value)
   };
-  std::vector<IndexEntry> entries_;
+  /// Default-initializes on resize(), so sizing the index writes nothing:
+  /// each page is first touched by the (parallel) scatter that fills it,
+  /// not by a serial zero fill of hundreds of MB.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    DefaultInitAllocator() = default;
+    template <typename U>
+    explicit DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  std::vector<IndexEntry, DefaultInitAllocator<IndexEntry>> entries_;
   std::vector<std::uint64_t> offsets_;  ///< kNodeSlots + 1 fences
-  stats::TimeSec base_ = 0;             ///< earliest job start
+  stats::TimeSec base_ = 0;             ///< earliest job start (job 0's)
 };
 
 }  // namespace titan::sched
