@@ -59,12 +59,12 @@ using namespace titan;
 
 /// Peak-RSS budget every sharded 16x replica worker must stay under
 /// (and the unsharded path demonstrably cannot meet across the same 16
-/// seeds).  Chosen between the two measured 16x worker maxima -- ~905
-/// MiB sharded vs ~1170 MiB unsharded on the default seeds, dominated
-/// by the shared workload floor (JobTrace CSR index + job records) that
-/// the heaviest replica seed carries either way -- leaving >10% margin
-/// on both sides.
-constexpr double kRssBudgetMiB = 1024.0;
+/// seeds).  Chosen between the two measured 16x worker maxima on the
+/// default seeds -- ~300 MiB sharded vs ~550 MiB unsharded, now that
+/// job placements are slot runs and the occupancy index holds one 4-byte
+/// entry per (job, router) -- leaving 25% margin below the budget for
+/// the sharded path and 37% above it for the unsharded one.
+constexpr double kRssBudgetMiB = 400.0;
 
 /// What one forked phase reports back (written to a stats file by the
 /// child, read by the parent after wait4).

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "stats/descriptive.hpp"
 #include "stats/topk.hpp"
@@ -30,6 +30,20 @@ double metric_value(const sched::JobRecord& job, JobMetric metric) noexcept {
   return 0.0;
 }
 
+std::vector<xid::JobId> jobs_on_nodes(const sched::JobTrace& trace,
+                                      std::span<const topology::NodeId> nodes) {
+  using Time = std::numeric_limits<stats::TimeSec>;
+  std::vector<xid::JobId> out;
+  for (const topology::NodeId node : nodes) {
+    for (const auto& occupancy : trace.occupancy(node, Time::min(), Time::max())) {
+      out.push_back(occupancy.job);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 UtilizationStudy utilization_study(const sched::JobTrace& trace,
                                    const std::vector<fault::SbeStrike>& strikes,
                                    stats::TimeSec window_begin, stats::TimeSec window_end) {
@@ -44,13 +58,9 @@ UtilizationStudy utilization_study(const sched::JobTrace& trace,
     card_node[s.card] = s.node;
   }
   out.top10_offenders = stats::top_k_keys(card_totals, 10);
-  std::unordered_set<topology::NodeId> offender_nodes;
-  for (const auto card : out.top10_offenders) offender_nodes.insert(card_node.at(card));
-
-  const auto job_uses_offender = [&](const sched::JobRecord& job) {
-    return std::any_of(job.nodes.begin(), job.nodes.end(),
-                       [&](topology::NodeId n) { return offender_nodes.contains(n); });
-  };
+  std::vector<topology::NodeId> offender_nodes;
+  for (const auto card : out.top10_offenders) offender_nodes.push_back(card_node.at(card));
+  const auto offender_jobs = jobs_on_nodes(trace, offender_nodes);
 
   // One pass over the window jobs: a single trace lookup per record
   // fills the paired series for every metric plus the per-user (Fig. 20)
@@ -73,7 +83,7 @@ UtilizationStudy utilization_study(const sched::JobTrace& trace,
 
   for (const auto& rec : out.job_sbe) {
     const auto& job = trace.job(rec.job);
-    const bool excl = job_uses_offender(job);
+    const bool excl = std::binary_search(offender_jobs.begin(), offender_jobs.end(), rec.job);
     const auto sbe = static_cast<double>(rec.sbe_count);
     sbe_all.push_back(sbe);
     if (!excl) sbe_excl.push_back(sbe);

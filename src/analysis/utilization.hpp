@@ -7,6 +7,7 @@
 // cards -- the paper's robustness check.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,11 @@ struct UtilizationStudy {
   std::size_t users_excl = 0;
   std::vector<xid::CardId> top10_offenders;
 };
+
+/// Ids of the jobs whose allocation includes any of `nodes`, ascending and
+/// unique, read from those nodes' occupancy slices of the trace.
+[[nodiscard]] std::vector<xid::JobId> jobs_on_nodes(const sched::JobTrace& trace,
+                                                    std::span<const topology::NodeId> nodes);
 
 /// `strikes` is the full campaign strike stream; offender ranking uses
 /// whole-campaign totals (what the operations team knows), while job SBE

@@ -537,17 +537,18 @@ TailStream run_campaign_tail(const CampaignSchedule& plan, const gpu::Fleet& fle
 
     Event root;
     root.time = crash;
-    root.node = job.nodes[root_pick];
+    root.node = job.nodes.nth(root_pick);
     root.kind = kind;
     root.job = job.id;
     root.user = job.user;
     out.push_back(root);
     const std::int64_t root_index = 0;
 
-    for (std::size_t i = 0; i < job.nodes.size(); ++i) {
-      if (i == root_pick) continue;
+    std::size_t i = 0;
+    for (const NodeId node : job.nodes) {
+      if (i++ == root_pick) continue;
       Event child = root;
-      child.node = job.nodes[i];
+      child.node = node;
       child.time = crash + static_cast<TimeSec>(
                                job_rng.below(static_cast<std::uint64_t>(model.job_propagation_window_s)));
       child.parent = root_index;

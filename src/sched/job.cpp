@@ -8,7 +8,30 @@
 
 namespace titan::sched {
 
+namespace {
+
+/// Calls fn(router, halves) for each Gemini router in [lo, hi) that `run`
+/// covers, where `halves` has bit h set for the router's node of half h.
+template <typename Fn>
+void for_each_router(const NodeSet::Run& run, std::size_t lo, std::size_t hi, Fn&& fn) {
+  const std::size_t first = run.first;
+  const std::size_t last = first + run.count;  // exclusive slot
+  const std::size_t r_begin = std::max(lo, first / 2);
+  const std::size_t r_end = std::min(hi, (last + 1) / 2);
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    const unsigned from = first > 2 * r ? 1U : 0U;
+    const unsigned to = last < 2 * r + 2 ? 1U : 2U;
+    fn(r, ((1U << to) - 1U) & ~((1U << from) - 1U));
+  }
+}
+
+}  // namespace
+
 JobTrace::JobTrace(std::vector<JobRecord> jobs) : jobs_{std::move(jobs)} {
+  if (jobs_.size() > (std::size_t{1} << 30)) {
+    throw std::invalid_argument{"JobTrace: more than 2^30 jobs"};
+  }
+  starts_.reserve(jobs_.size());
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     if (jobs_[i].id != static_cast<xid::JobId>(i)) {
       throw std::invalid_argument{"JobTrace: job ids must be dense and 0-based"};
@@ -16,49 +39,68 @@ JobTrace::JobTrace(std::vector<JobRecord> jobs) : jobs_{std::move(jobs)} {
     if (i > 0 && jobs_[i].start < jobs_[i - 1].start) {
       throw std::invalid_argument{"JobTrace: job starts must be nondecreasing in job id"};
     }
+    starts_.push_back(jobs_[i].start);
   }
 
-  if (jobs_.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument{"JobTrace: more than 2^32 jobs"};
-  }
+  // Router ranges are independent: one task per pool thread walks every
+  // job's runs and touches only its own routers -- the same bytes at any
+  // width.  A job's runs may revisit a router (hand-built traces), so
+  // each pass remembers the last job seen per router and merges halves.
+  const auto routers = static_cast<std::size_t>(topology::kGeminiCount);
+  const std::size_t ranges = par::thread_count();
+  const auto range_lo = [&](std::size_t r) { return routers * r / ranges; };
 
-  // Starts are stored as seconds since base_; the last job starts latest.
-  base_ = jobs_.empty() ? 0 : jobs_.front().start;
-  constexpr auto kMaxSpan = static_cast<stats::TimeSec>(std::numeric_limits<std::uint32_t>::max());
-  if (!jobs_.empty() && jobs_.back().start - base_ > kMaxSpan) {
-    throw std::invalid_argument{"JobTrace: trace spans more than 2^32 seconds"};
-  }
-
-  // Counting pass -> exact-sized CSR arrays: no per-node vector slack and
-  // no reallocation transient, which matters when the index holds tens of
-  // millions of entries.
-  offsets_.assign(static_cast<std::size_t>(topology::kNodeSlots) + 1, 0);
-  for (const auto& job : jobs_) {
-    for (topology::NodeId node : job.nodes) {
-      ++offsets_[static_cast<std::size_t>(node) + 1];
+  // Counting pass -> exact-sized CSR arrays: no per-router vector slack
+  // and no reallocation transient.
+  offsets_.assign(routers + 1, 0);
+  std::vector<char> duplicate(ranges, 0);
+  par::parallel_for(0, ranges, 1, [&](std::size_t r) {
+    const std::size_t lo = range_lo(r);
+    const std::size_t hi = range_lo(r + 1);
+    constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> last_job(hi - lo, kNone);
+    std::vector<unsigned> held(hi - lo, 0);
+    for (const auto& job : jobs_) {
+      const auto id = static_cast<std::uint32_t>(job.id);
+      for (const auto& run : job.nodes.runs()) {
+        for_each_router(run, lo, hi, [&](std::size_t router, unsigned halves) {
+          const std::size_t k = router - lo;
+          if (last_job[k] != id) {
+            last_job[k] = id;
+            held[k] = halves;
+            ++offsets_[router + 1];
+          } else {
+            if ((held[k] & halves) != 0) duplicate[r] = 1;
+            held[k] |= halves;
+          }
+        });
+      }
     }
+  });
+  if (std::find(duplicate.begin(), duplicate.end(), 1) != duplicate.end()) {
+    throw std::invalid_argument{"JobTrace: a job lists a node twice"};
   }
   for (std::size_t n = 1; n < offsets_.size(); ++n) offsets_[n] += offsets_[n - 1];
 
-  // Scatter in job-id order.  Starts are nondecreasing in id (checked
-  // above), so every node's slice comes out in (start, job) order with no
-  // per-node sort.  Node ranges are independent: one task per pool
-  // thread walks every job and fills only its own nodes' slices -- the
-  // same bytes at any width, and no buffer beyond the entries themselves.
+  // Scatter in job-id order, so every router's slice comes out in id
+  // order, which is start order (starts are nondecreasing in id).
   entries_.resize(offsets_.back());
-  const std::size_t nodes = offsets_.size() - 1;
-  const std::size_t ranges = par::thread_count();
   par::parallel_for(0, ranges, 1, [&](std::size_t r) {
-    const std::size_t lo = nodes * r / ranges;
-    const std::size_t hi = nodes * (r + 1) / ranges;
+    const std::size_t lo = range_lo(r);
+    const std::size_t hi = range_lo(r + 1);
     std::vector<std::uint64_t> cursor{offsets_.begin() + static_cast<std::ptrdiff_t>(lo),
                                       offsets_.begin() + static_cast<std::ptrdiff_t>(hi)};
     for (const auto& job : jobs_) {
-      const IndexEntry entry{static_cast<std::uint32_t>(job.start - base_),
-                             static_cast<std::uint32_t>(job.id)};
-      for (topology::NodeId node : job.nodes) {
-        const std::size_t slot = static_cast<std::size_t>(node) - lo;  // wraps below lo
-        if (slot < hi - lo) entries_[cursor[slot]++] = entry;
+      const auto id = static_cast<std::uint32_t>(job.id);
+      for (const auto& run : job.nodes.runs()) {
+        for_each_router(run, lo, hi, [&](std::size_t router, unsigned halves) {
+          std::uint64_t& c = cursor[router - lo];
+          if (c > offsets_[router] && (entries_[c - 1] >> 2) == id) {
+            entries_[c - 1] |= halves;
+          } else {
+            entries_[c++] = id << 2 | halves;
+          }
+        });
       }
     }
   });
@@ -72,31 +114,38 @@ const JobRecord& JobTrace::job(xid::JobId id) const {
 }
 
 xid::JobId JobTrace::job_at(topology::NodeId node, stats::TimeSec when) const {
-  const auto n = static_cast<std::size_t>(node);
-  if (n + 1 >= offsets_.size()) throw std::out_of_range{"JobTrace: unknown node"};
-  if (when < base_) return xid::kNoJob;
-  const stats::TimeSec delta = when - base_;
-  const auto key = static_cast<std::uint32_t>(
-      std::min(delta, static_cast<stats::TimeSec>(std::numeric_limits<std::uint32_t>::max())));
+  if (node < 0 || node >= topology::kNodeSlots) throw std::out_of_range{"JobTrace: unknown node"};
+  const std::uint32_t slot = torus_slot(node);
+  const unsigned half = 1U << (slot % 2);
 
-  // Last entry starting at or before `when`, if its job is still running.
-  const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[n]);
-  const auto end = entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[n + 1]);
-  auto it = std::upper_bound(begin, end, key,
-                             [](std::uint32_t k, const IndexEntry& e) { return k < e.start; });
-  if (it == begin) return xid::kNoJob;
-  --it;
-  const JobRecord& record = jobs_[static_cast<std::size_t>(it->job)];
-  return (when >= record.start && when < record.end) ? record.id : xid::kNoJob;
+  // Jobs [0, later) started at or before `when` (starts are nondecreasing
+  // in id).  The answer is the last of them holding `node`, if it is
+  // still running: in the router's id-ordered slice, the last entry below
+  // `later`, stepping back past entries that hold only the other half.
+  const auto later = static_cast<std::uint32_t>(
+      std::upper_bound(starts_.begin(), starts_.end(), when) - starts_.begin());
+  const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[slot / 2]);
+  const auto end = entries_.begin() + static_cast<std::ptrdiff_t>(offsets_[slot / 2 + 1]);
+  auto it = std::lower_bound(begin, end, later,
+                             [](std::uint32_t e, std::uint32_t id) { return (e >> 2) < id; });
+  while (it != begin) {
+    --it;
+    if ((*it & half) == 0) continue;
+    const JobRecord& record = jobs_[*it >> 2];
+    return when < record.end ? record.id : xid::kNoJob;
+  }
+  return xid::kNoJob;
 }
 
 std::vector<JobTrace::Occupancy> JobTrace::occupancy(topology::NodeId node, stats::TimeSec begin,
                                                      stats::TimeSec end) const {
-  const auto n = static_cast<std::size_t>(node);
-  if (n + 1 >= offsets_.size()) throw std::out_of_range{"JobTrace: unknown node"};
+  if (node < 0 || node >= topology::kNodeSlots) throw std::out_of_range{"JobTrace: unknown node"};
+  const std::uint32_t slot = torus_slot(node);
+  const unsigned half = 1U << (slot % 2);
   std::vector<Occupancy> out;
-  for (std::uint64_t i = offsets_[n]; i < offsets_[n + 1]; ++i) {
-    const JobRecord& record = jobs_[static_cast<std::size_t>(entries_[i].job)];
+  for (std::uint64_t i = offsets_[slot / 2]; i < offsets_[slot / 2 + 1]; ++i) {
+    if ((entries_[i] & half) == 0) continue;
+    const JobRecord& record = jobs_[entries_[i] >> 2];
     if (record.end <= begin) continue;
     if (record.start >= end) break;
     out.push_back(Occupancy{record.id, std::max(begin, record.start),

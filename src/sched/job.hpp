@@ -7,6 +7,7 @@
 #include <new>
 #include <vector>
 
+#include "sched/node_set.hpp"
 #include "stats/calendar.hpp"
 #include "topology/machine.hpp"
 #include "xid/event.hpp"
@@ -19,7 +20,7 @@ struct JobRecord {
   xid::UserId user = xid::kNoUser;
   stats::TimeSec start = 0;
   stats::TimeSec end = 0;                 ///< exclusive
-  std::vector<topology::NodeId> nodes;    ///< allocation, torus-rank order
+  NodeSet nodes;                          ///< allocation, in allocator search order
   double gpu_core_hours = 0.0;            ///< node-hours x GPU duty factor
   double max_memory_gb = 0.0;             ///< peak per-node GPU memory (RUR maxrss style, <= 6)
   double total_memory_gb = 0.0;           ///< time-integrated per-node memory (GB x hours)
@@ -31,20 +32,23 @@ struct JobRecord {
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes.size(); }
 };
 
-/// A job trace plus per-node occupancy index for (node, time) -> job
+/// A job trace plus per-router occupancy index for (node, time) -> job
 /// attribution, which the fault generators and the per-job nvidia-smi
 /// framework both need.
 class JobTrace {
  public:
-  /// Job ids must be dense and 0-based, and starts nondecreasing in id
-  /// (the order a scheduler starts jobs in); std::invalid_argument
-  /// otherwise.
+  /// Job ids must be dense and 0-based, starts nondecreasing in id (the
+  /// order a scheduler starts jobs in), no job may list a node twice, and
+  /// there may be at most 2^30 jobs; std::invalid_argument otherwise.
   explicit JobTrace(std::vector<JobRecord> jobs);
 
   [[nodiscard]] const std::vector<JobRecord>& jobs() const noexcept { return jobs_; }
   [[nodiscard]] const JobRecord& job(xid::JobId id) const;
 
-  /// Job running on `node` at `when`; kNoJob when idle.
+  /// Job running on `node` at `when`; kNoJob when idle.  O(log jobs +
+  /// log k + s) for k entries on the node's router, where s counts the
+  /// consecutive entries just before the answer that hold only the
+  /// router's other node (the reserved siblings of odd jobs).
   [[nodiscard]] xid::JobId job_at(topology::NodeId node, stats::TimeSec when) const;
 
   /// All (job, overlap-seconds) pairs for `node` within [begin, end).
@@ -58,26 +62,21 @@ class JobTrace {
 
  private:
   std::vector<JobRecord> jobs_;  ///< indexed by JobId (ids are dense, 0-based)
+  /// jobs_[i].start, contiguous for job_at's binary search.
+  std::vector<stats::TimeSec> starts_;
 
-  /// Occupancy index in CSR form: node n owns the slice
-  /// [offsets_[n], offsets_[n+1]) of entries_, in (start, job) order by
-  /// construction (an id-order scatter of id-ordered starts);
-  /// intervals within one node never overlap.  One flat 8-byte entry per
-  /// (job x allocated node) -- at Titan scale that is tens of millions of
-  /// entries, and the flat exact-sized layout (vs a vector-of-vectors of
-  /// 16-byte pairs) halves the resident footprint of every campaign
-  /// driver holding a trace.  Starts are stored as seconds since base_
-  /// (the earliest job start), which a trace would need to span >136
-  /// years to overflow.  Jobs are stored as 32-bit dense indices (ids
-  /// are dense and 0-based by construction), keeping the entry at 8
-  /// bytes -- a 64-bit xid::JobId would pad it to 16.
-  struct IndexEntry {
-    std::uint32_t start;  ///< seconds since base_
-    std::uint32_t job;    ///< dense job index (== xid::JobId value)
-  };
+  /// Occupancy index in CSR form: Gemini router r (torus rank) owns the
+  /// slice [offsets_[r], offsets_[r+1]) of entries_, one 4-byte entry
+  /// `job << 2 | halves` per (job, router), in job-id order by
+  /// construction (an id-order scatter).  `halves` has bit h set when the
+  /// job holds the router's node of half h (see torus_slot), so the
+  /// reserved sibling of an odd job is not attributed to it.  Jobs own
+  /// whole routers, so one entry covers two nodes: about 4 bytes per two
+  /// (job x node) placements, where a per-node index of (start, job)
+  /// pairs took 16.
   /// Default-initializes on resize(), so sizing the index writes nothing:
   /// each page is first touched by the (parallel) scatter that fills it,
-  /// not by a serial zero fill of hundreds of MB.
+  /// not by a serial zero fill.
   template <typename T>
   struct DefaultInitAllocator : std::allocator<T> {
     DefaultInitAllocator() = default;
@@ -88,9 +87,8 @@ class JobTrace {
       ::new (static_cast<void*>(p)) U;
     }
   };
-  std::vector<IndexEntry, DefaultInitAllocator<IndexEntry>> entries_;
-  std::vector<std::uint64_t> offsets_;  ///< kNodeSlots + 1 fences
-  stats::TimeSec base_ = 0;             ///< earliest job start (job 0's)
+  std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>> entries_;
+  std::vector<std::uint64_t> offsets_;  ///< kGeminiCount + 1 fences
 };
 
 }  // namespace titan::sched

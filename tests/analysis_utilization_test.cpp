@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
+
 #include "analysis/sbe_study.hpp"
 #include "analysis/workload_char.hpp"
 #include "core/facility.hpp"
+#include "topology/torus.hpp"
 
 namespace titan::analysis {
 namespace {
@@ -104,6 +109,91 @@ TEST(Utilization, SortedSeriesBinsShape) {
 TEST(Utilization, SortedSeriesEmptyInput) {
   const auto bins = sorted_series_bins(dataset().trace, {}, JobMetric::kNodeCount, 10);
   EXPECT_TRUE(bins.metric_mean.empty());
+}
+
+/// Test oracle: the exclusion walk jobs_on_nodes replaced -- every
+/// placement of every job looked up in a node set.
+std::vector<xid::JobId> jobs_on_nodes_by_walk(const sched::JobTrace& trace,
+                                              const std::vector<topology::NodeId>& nodes) {
+  const std::unordered_set<topology::NodeId> wanted(nodes.begin(), nodes.end());
+  std::vector<xid::JobId> out;
+  for (const auto& job : trace.jobs()) {
+    if (std::any_of(job.nodes.begin(), job.nodes.end(),
+                    [&](topology::NodeId n) { return wanted.contains(n); })) {
+      out.push_back(job.id);
+    }
+  }
+  return out;
+}
+
+TEST(Utilization, OffenderJobsMatchPlacementWalkOnQuickStudy) {
+  const auto data = core::run_study(core::quick_config(20151115));
+  const auto begin = stats::month_start(data.config.period.begin, 2);
+  const auto s = utilization_study(data.trace, data.sbe_strikes, begin, data.config.period.end);
+
+  // The offender nodes as the study derives them: each card's last strike.
+  std::unordered_map<xid::CardId, topology::NodeId> card_node;
+  for (const auto& strike : data.sbe_strikes) card_node[strike.card] = strike.node;
+  std::vector<topology::NodeId> offender_nodes;
+  for (const auto card : s.top10_offenders) offender_nodes.push_back(card_node.at(card));
+  const auto offender_jobs = jobs_on_nodes(data.trace, offender_nodes);
+  EXPECT_EQ(offender_jobs, jobs_on_nodes_by_walk(data.trace, offender_nodes));
+  EXPECT_FALSE(offender_jobs.empty());
+
+  // Every metric's excluded series keeps exactly the window jobs the walk
+  // does not flag.
+  std::size_t kept = 0;
+  for (const auto& rec : s.job_sbe) {
+    if (!std::binary_search(offender_jobs.begin(), offender_jobs.end(), rec.job)) ++kept;
+  }
+  EXPECT_LT(kept, s.job_sbe.size());
+  for (const auto& mc : s.metrics) EXPECT_EQ(mc.jobs_excl, kept);
+
+  stats::Rng rng{20151115};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<topology::NodeId> nodes(1 + rng.below(12));
+    for (auto& node : nodes) node = static_cast<topology::NodeId>(rng.below(topology::kNodeSlots));
+    if (trial % 4 == 0) nodes.push_back(nodes.front());  // duplicates are harmless
+    ASSERT_EQ(jobs_on_nodes(data.trace, nodes), jobs_on_nodes_by_walk(data.trace, nodes));
+  }
+}
+
+TEST(Utilization, OffenderJobsOnHandBuiltTraces) {
+  const auto router = [](int rank) {
+    return topology::gemini_nodes(topology::coord_from_rank(rank));
+  };
+  const auto r = router(10);
+  const auto s = router(11);
+  const auto t = router(500);
+  const auto far = router(9000);
+  const auto job = [](int id, stats::TimeSec start, stats::TimeSec end, sched::NodeSet nodes) {
+    sched::JobRecord record;
+    record.id = id;
+    record.start = start;
+    record.end = end;
+    record.nodes = std::move(nodes);
+    return record;
+  };
+  // An odd job (s[1] reserved, not held), a job on that reserved half,
+  // runs that revisit a router, an empty job, and a reused node.
+  const sched::JobTrace trace{{job(0, 0, 10, {r[0], r[1], s[0]}), job(1, 5, 20, {s[1]}),
+                               job(2, 6, 30, {t[1], far[0], t[0]}), job(3, 7, 8, {}),
+                               job(4, 10, 40, {r[0]})}};
+  EXPECT_EQ(jobs_on_nodes(trace, std::vector<topology::NodeId>{s[1]}),
+            (std::vector<xid::JobId>{1}));
+  EXPECT_EQ(jobs_on_nodes(trace, std::vector<topology::NodeId>{r[0]}),
+            (std::vector<xid::JobId>{0, 4}));
+  EXPECT_TRUE(jobs_on_nodes(trace, std::vector<topology::NodeId>{far[1]}).empty());
+  EXPECT_TRUE(jobs_on_nodes(trace, std::vector<topology::NodeId>{}).empty());
+  // Every subset of the nodes involved, against the walk.
+  const std::vector<topology::NodeId> pool{r[0], r[1], s[0], s[1], t[0], t[1], far[0], far[1]};
+  for (unsigned mask = 0; mask < (1U << pool.size()); ++mask) {
+    std::vector<topology::NodeId> nodes;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (((mask >> i) & 1U) != 0) nodes.push_back(pool[i]);
+    }
+    ASSERT_EQ(jobs_on_nodes(trace, nodes), jobs_on_nodes_by_walk(trace, nodes)) << mask;
+  }
 }
 
 TEST(SbeStudy, FewerThanFivePercentOfCards) {

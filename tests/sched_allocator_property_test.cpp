@@ -71,7 +71,8 @@ class NaiveTorusAllocator {
     return out;
   }
 
-  void release(const std::vector<NodeId>& nodes) {
+  template <typename Nodes>
+  void release(const Nodes& nodes) {
     for (NodeId n : nodes) {
       const std::size_t rank = rank_of(n);
       if (geminis_[rank].free) continue;
@@ -157,6 +158,9 @@ class NaiveTorusAllocator {
 /// Production mask (service nodes unusable), or with `holey` also a
 /// seeded scatter of unusable compute nodes: some routers lose one node,
 /// a few lose both.
+/// The NodeSet's nodes as a list, in iteration order.
+std::vector<NodeId> flat(const NodeSet& nodes) { return {nodes.begin(), nodes.end()}; }
+
 std::vector<bool> usable_mask(bool holey, stats::Rng& rng) {
   std::vector<bool> usable(static_cast<std::size_t>(topology::kNodeSlots));
   for (NodeId n = 0; n < topology::kNodeSlots; ++n) {
@@ -173,7 +177,7 @@ TEST_P(AllocatorFuzz, InvariantsHoldUnderRandomOps) {
   auto alloc = TorusAllocator::production();
   const std::size_t total = alloc.total_nodes();
 
-  std::vector<std::vector<topology::NodeId>> live;
+  std::vector<NodeSet> live;
   std::set<topology::NodeId> allocated;
   std::set<topology::NodeId> held;
 
@@ -234,14 +238,14 @@ TEST_P(AllocatorFuzz, MatchesNaiveAllocatorInLockstep) {
       NaiveTorusAllocator naive{usable, policy};
       ASSERT_EQ(fast.free_nodes(), naive.free_nodes());
 
-      std::vector<std::vector<NodeId>> live;
+      std::vector<NodeSet> live;
       std::vector<NodeId> held;
       const auto allocate_both = [&](std::size_t request) {
         auto got = fast.allocate(request);
         const auto want = naive.allocate(request);
         ASSERT_EQ(got.has_value(), want.has_value()) << "request " << request;
         if (got) {
-          ASSERT_EQ(*got, *want) << "request " << request;
+          ASSERT_EQ(flat(*got), *want) << "request " << request;
           if (!got->empty()) live.push_back(std::move(*got));
         }
       };
@@ -314,7 +318,7 @@ TEST(AllocatorProperty, RepeatedFillDrainIsStable) {
   auto alloc = TorusAllocator::production();
   const std::size_t total = alloc.total_nodes();
   for (int round = 0; round < 5; ++round) {
-    std::vector<std::vector<topology::NodeId>> jobs;
+    std::vector<NodeSet> jobs;
     while (alloc.free_nodes() >= 1000) {
       auto nodes = alloc.allocate(1000);
       ASSERT_TRUE(nodes.has_value());
@@ -329,7 +333,7 @@ TEST(AllocatorProperty, FragmentationStillServes) {
   // Allocate pairs, free every other one, then ask for a large block: the
   // scattered fallback must serve it from the freed holes.
   auto alloc = TorusAllocator::production();
-  std::vector<std::vector<topology::NodeId>> jobs;
+  std::vector<NodeSet> jobs;
   while (alloc.free_nodes() >= 2) {
     auto nodes = alloc.allocate(2);
     ASSERT_TRUE(nodes.has_value());
