@@ -26,7 +26,8 @@
 #                (bench_faulttest_crash: each kill must end in clean
 #                salvage or a named failure, each resume byte-identical),
 #                plus an explicit titanlint io-atomic pass over the
-#                durable-write layers
+#                durable-write layers (every git-tracked C++ file under
+#                src/study, src/tdf, src/ckpt and src/faulttest)
 #   --profiles   run the cross-fleet profile sweep: the profile unit /
 #                golden-equivalence / determinism / mismatch test
 #                binaries, the profile-matrix bench (full registry under
@@ -86,24 +87,22 @@ git diff --exit-code -- STREAMS.md
 if [[ "$CORRUPT" == 1 ]]; then
   echo "== ingest robustness gate (every corruption operator + salvage sweep) =="
   ./build/bench/bench_ingest_robustness
-  echo "== titanlint det-* sweep over src/ingest, src/tdf and the sharding layer =="
+  echo "== titanlint det-* sweep over src/ingest, the durable-write layers and the sharding layer =="
+  # The durable-write layers come from git, so moving writer code between
+  # files cannot drop one from the gate.
+  mapfile -t DURABLE < <(git ls-files src/study src/tdf src/ckpt src/faulttest | grep -E '\.[ch]pp$')
   ./build/tools/titanlint --root . src/ingest/triage.hpp src/ingest/triage.cpp \
     src/ingest/corrupt.hpp src/ingest/corrupt.cpp \
-    src/tdf/format.hpp src/tdf/tdf.hpp src/tdf/writer.cpp src/tdf/reader.cpp \
     src/core/sharded.hpp src/core/sharded.cpp src/fault/campaign.hpp \
-    src/fault/campaign.cpp src/study/sharded.hpp src/study/sharded.cpp \
-    src/study/source.cpp
+    src/fault/campaign.cpp "${DURABLE[@]}"
 fi
 
 if [[ "$CRASH" == 1 ]]; then
   echo "== crash-consistency gate (kill-point sweep over every dataset writer) =="
   ./build/bench/bench_faulttest_crash
   echo "== titanlint io-atomic sweep over the durable-write layers =="
-  ./build/tools/titanlint --root . src/faulttest/atomic_file.hpp \
-    src/faulttest/atomic_file.cpp src/faulttest/faulttest.hpp \
-    src/faulttest/faulttest.cpp src/ckpt/study_ckpt.hpp src/ckpt/study_ckpt.cpp \
-    src/study/io.cpp src/study/sharded.cpp src/study/source.cpp \
-    src/study/fsck.cpp src/study/crashtest.cpp src/tdf/writer.cpp
+  mapfile -t DURABLE < <(git ls-files src/study src/tdf src/ckpt src/faulttest | grep -E '\.[ch]pp$')
+  ./build/tools/titanlint --root . "${DURABLE[@]}"
 fi
 
 if [[ "$PROFILES" == 1 ]]; then

@@ -11,8 +11,7 @@
 // The study layer installs one scope per kernel invocation (translating
 // the registry capability mask into column bits); outside any scope
 // everything is allowed, so ad-hoc frame users pay one thread-local test
-// per accessor call and nothing else.  Set TITANREL_FRAME_GUARD=0 to
-// skip scope installation entirely.  On violation the installed handler
+// per accessor call and nothing else.  On violation the installed handler
 // runs: the default prints the offending column and aborts (a debug
 // assertion, not a recoverable error); tests install a recording handler.
 #pragma once
@@ -46,9 +45,6 @@ using Handler = void (*)(unsigned column, unsigned allowed) noexcept;
 /// Install a handler, returning the previous one.  The default prints
 /// the column name to stderr and aborts.
 Handler set_handler(Handler handler) noexcept;
-
-/// True unless the environment says TITANREL_FRAME_GUARD=0 (read once).
-[[nodiscard]] bool enabled() noexcept;
 
 /// Human-readable name of a single column bit.
 [[nodiscard]] const char* column_name(unsigned column) noexcept;

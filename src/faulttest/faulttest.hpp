@@ -131,6 +131,6 @@ void PtP(const char* file, int line, std::string_view site);
 
 }  // namespace titan::faulttest
 
-/// Mark a kill point.  `site` is a stable name ("study/shard/sealed");
+/// Mark a kill point.  `site` is a stable name ("study/dataset/artifact");
 /// the source location rides along for the report.
 #define TITAN_PTP(site) ::titan::faulttest::internal::PtP(__FILE__, __LINE__, (site))

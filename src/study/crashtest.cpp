@@ -21,30 +21,19 @@ using ingest::IngestPolicy;
 /// salvage loads) the triage summary.  Two contexts digest equally iff
 /// a study over them is byte-identical.
 std::string context_digest(const StudyContext& context) {
-  std::string bytes;
-  for (const auto& line : detail::console_lines_of(context)) {
-    bytes += line;
-    bytes += '\n';
-  }
-  std::string digest = "console " + ingest::checksum_hex(ingest::content_checksum(bytes));
-  bytes.clear();
-  for (const auto& line : detail::job_lines_of(context)) {
-    bytes += line;
-    bytes += '\n';
-  }
-  digest += " jobs " + ingest::checksum_hex(ingest::content_checksum(bytes));
-  digest += " smi " +
-            ingest::checksum_hex(ingest::content_checksum(
-                logsim::smi_sweep_text(context.snapshot)));
+  const auto hex = [](std::string_view bytes) {
+    return ingest::checksum_hex(ingest::content_checksum(bytes));
+  };
+  std::string digest = "console " + hex(joined_lines(detail::console_lines_of(context)));
+  digest += " jobs " + hex(joined_lines(detail::job_lines_of(context)));
+  digest += " smi " + hex(logsim::smi_sweep_text(context.snapshot));
   digest += " period " + std::to_string(context.period.begin) + ':' +
             std::to_string(context.period.end) + ':' +
             std::to_string(context.accounting_from);
   digest += " profile " + std::string{context.profile->name} + ':' +
             ingest::checksum_hex(context.profile->content_hash());
   if (context.ingest_report) {
-    digest += " triage " +
-              ingest::checksum_hex(
-                  ingest::content_checksum(context.ingest_report->summary_text()));
+    digest += " triage " + hex(context.ingest_report->summary_text());
   }
   return digest;
 }

@@ -77,8 +77,7 @@ void atomic_write_text(const std::filesystem::path& path, std::string_view text)
   faulttest::atomic_write_file(path, text, "atomic_write_text");
 }
 
-void atomic_write_lines(const std::filesystem::path& path,
-                        std::span<const std::string> lines) {
+std::string joined_lines(std::span<const std::string> lines) {
   std::string text;
   std::size_t bytes = 0;
   for (const auto& line : lines) bytes += line.size() + 1;
@@ -87,7 +86,12 @@ void atomic_write_lines(const std::filesystem::path& path,
     text += line;
     text += '\n';
   }
-  atomic_write_text(path, text);
+  return text;
+}
+
+void atomic_write_lines(const std::filesystem::path& path,
+                        std::span<const std::string> lines) {
+  atomic_write_text(path, joined_lines(lines));
 }
 
 }  // namespace titan::study

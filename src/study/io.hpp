@@ -47,6 +47,10 @@ void write_text(const std::filesystem::path& path, std::string_view text);
 /// as the crash evidence loaders must triage (E_ORPHAN_TMP).
 void atomic_write_text(const std::filesystem::path& path, std::string_view text);
 
+/// The lines as one text, each terminated with '\n' (the bytes
+/// write_lines and atomic_write_lines put on disk).
+[[nodiscard]] std::string joined_lines(std::span<const std::string> lines);
+
 /// Atomic variant of write_lines (same tmp + fsync + rename protocol).
 void atomic_write_lines(const std::filesystem::path& path,
                         std::span<const std::string> lines);

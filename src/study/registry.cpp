@@ -548,12 +548,8 @@ StudyReport AnalysisRegistry::run(const StudyContext& context,
   StudyReport report;
   report.period = context.period;
   if (context.ingest_report) report.ingest = ingest_section(*context.ingest_report);
-  const bool guard = analysis::frame_guard::enabled();
   report.results = par::parallel_map(0, selected.size(), 1, [&](std::size_t i) {
-    if (guard) {
-      const analysis::FrameGuardScope scope{guard_columns(selected[i]->needs)};
-      return selected[i]->kernel(context);
-    }
+    const analysis::FrameGuardScope scope{guard_columns(selected[i]->needs)};
     return selected[i]->kernel(context);
   });
   return report;

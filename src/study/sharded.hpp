@@ -10,6 +10,10 @@
 // streams back into one StudyContext that is byte-identical to loading
 // the equivalent monolithic dataset.
 //
+// Both producers, and write_dataset, share one commit protocol
+// (checkpoint first, stale layout cleared, containers, manifest last);
+// see sharded.cpp.
+//
 // Two producers:
 //   * generate_sharded_dataset runs the campaign shard by shard through
 //     core::ShardedStudy and spills each shard as it completes -- peak

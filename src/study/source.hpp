@@ -116,7 +116,10 @@ enum class DatasetFormat : std::uint8_t {
 ///
 /// Every file is written atomically (tmp + fsync + rename) with the
 /// manifest last, so a crash mid-write can never leave a directory that
-/// passes checksum verification with partial content.
+/// passes checksum verification with partial content.  Writing over an
+/// existing dataset first removes whatever the new layout does not write
+/// (e.g. a binary container under a text rewrite), so the directory
+/// loads as the last write, never as a mix of two.
 void write_dataset(const StudyContext& context, const std::filesystem::path& dir,
                    DatasetFormat format = DatasetFormat::kText);
 

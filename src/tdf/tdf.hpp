@@ -112,8 +112,15 @@ class MappedFile {
 /// header patched with the table location and checksum).
 [[nodiscard]] std::string encode_tdf(const TdfDataset& data);
 
-/// Encode and write atomically: `path.tmp` + fsync + rename.
-void write_tdf(const TdfDataset& data, const std::filesystem::path& path);
+/// The content checksum (the manifest's claim) and size of what write_tdf wrote.
+struct ContainerSeal {
+  std::uint64_t checksum = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Encode and write atomically (`path.tmp` + fsync + rename); the seal
+/// hashes the encoded bytes in memory, never a read-back.
+ContainerSeal write_tdf(const TdfDataset& data, const std::filesystem::path& path);
 
 /// Decode raw container bytes.  `file` names the source in diagnostics.
 /// See the damage policy above; salvage findings land in `report`.

@@ -219,10 +219,12 @@ std::string encode_tdf(const TdfDataset& data) {
   return out;
 }
 
-void write_tdf(const TdfDataset& data, const fs::path& path) {
+ContainerSeal write_tdf(const TdfDataset& data, const fs::path& path) {
   const auto encoded = encode_tdf(data);
+  const ContainerSeal seal{tdf_checksum(encoded), encoded.size()};
   TITAN_PTP("tdf/pre-write");
   faulttest::atomic_write_file(path, encoded, "write_tdf");
+  return seal;
 }
 
 }  // namespace titan::tdf

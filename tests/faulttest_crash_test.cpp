@@ -94,9 +94,9 @@ TEST(FaultTestCrash, ShardedSweepIsSalvageOrNamedNeverSilent) {
   // The sweep must have walked every durable-state transition layer.
   for (const auto site :
        {"ckpt/pre-save", "io/atomic/pre-tmp", "io/atomic/post-tmp",
-        "io/atomic/pre-rename", "io/atomic/post-rename", "study/shard/encoded",
-        "study/shard/sealed", "study/shard/checkpoint", "study/shard/pre-manifest",
-        "study/shard/committed"}) {
+        "io/atomic/pre-rename", "io/atomic/post-rename", "tdf/pre-write",
+        "study/dataset/artifact", "study/dataset/checkpoint",
+        "study/dataset/pre-manifest", "study/dataset/committed"}) {
     EXPECT_TRUE(site_seen(sweep, site)) << site << "\n" << sweep.summary_text();
   }
   // And the named-failure taxonomy must actually fire: a mid-write kill
@@ -116,8 +116,8 @@ TEST(FaultTestCrash, MonolithicTextSweepRerunConverges) {
       study::run_runlength_sweep(write, write, scratch_root() / "text_sweep");
   EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
   expect_census_covers_sweep(sweep);
-  EXPECT_TRUE(site_seen(sweep, "study/write/artifact")) << sweep.summary_text();
-  EXPECT_TRUE(site_seen(sweep, "study/write/committed")) << sweep.summary_text();
+  EXPECT_TRUE(site_seen(sweep, "study/dataset/artifact")) << sweep.summary_text();
+  EXPECT_TRUE(site_seen(sweep, "study/dataset/committed")) << sweep.summary_text();
 }
 
 TEST(FaultTestCrash, MonolithicBinarySweepRerunConverges) {
@@ -132,6 +132,25 @@ TEST(FaultTestCrash, MonolithicBinarySweepRerunConverges) {
   // The TDF encode pipeline's own kill points must be on the walked path.
   EXPECT_TRUE(site_seen(sweep, "tdf/segments-encoded")) << sweep.summary_text();
   EXPECT_TRUE(site_seen(sweep, "tdf/pre-write")) << sweep.summary_text();
+}
+
+TEST(FaultTestCrash, ReshardSweepRerunConverges) {
+  const auto context = study::SimulatedSource{core::quick_config(kSeed)}.load();
+  const auto write = [&](const fs::path& dir) {
+    study::write_sharded_dataset(context, dir, 2);
+  };
+  const auto sweep =
+      study::run_runlength_sweep(write, write, scratch_root() / "reshard_sweep");
+  EXPECT_TRUE(sweep.clean()) << sweep.summary_text();
+  expect_census_covers_sweep(sweep);
+  // The re-sharding loop walks the shared protocol: one container sealer
+  // per shard, the manifest last, no per-shard checkpoint.
+  for (const auto site : {"ckpt/pre-save", "tdf/pre-write", "study/dataset/artifact",
+                          "study/dataset/pre-manifest", "study/dataset/committed"}) {
+    EXPECT_TRUE(site_seen(sweep, site)) << site << "\n" << sweep.summary_text();
+  }
+  EXPECT_FALSE(site_seen(sweep, "study/dataset/checkpoint")) << sweep.summary_text();
+  EXPECT_GT(sweep.code_counts.count("E_CKPT_INCOMPLETE"), 0U) << sweep.summary_text();
 }
 
 TEST(FaultTestCrash, InterruptedResumeIsByteIdenticalAcrossShardsAndWidths) {

