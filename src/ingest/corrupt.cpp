@@ -15,11 +15,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::string_view kDatasetFiles[] = {"console.log", "jobs.log", "smi_sweep.txt",
-                                              "dataset.tdf", "manifest.txt"};
-constexpr std::string_view kConsole = "console.log";
-constexpr std::string_view kManifest = "manifest.txt";
-constexpr std::string_view kTdf = tdf::kTdfFileName;
+constexpr std::string_view kDatasetFiles[] = {kConsoleFileName, kJobsFileName, kSmiFileName,
+                                              tdf::kTdfFileName, kManifestFileName};
 
 /// Binary-safe slurp (NULs and CRLF must survive round-trips).
 std::string read_file(const fs::path& path) {
@@ -190,12 +187,13 @@ std::size_t op_overlong_line(Lines& doc) {
 std::size_t op_drop_optional(const fs::path& dst, stats::Rng& rng, std::string& file) {
   const auto choice = rng.below(3);
   std::size_t n = 0;
-  if (choice != 1 && fs::remove(dst / "jobs.log")) {
-    file = "jobs.log";
+  if (choice != 1 && fs::remove(dst / kJobsFileName)) {
+    file = kJobsFileName;
     ++n;
   }
-  if (choice != 0 && fs::remove(dst / "smi_sweep.txt")) {
-    file = n != 0 ? "jobs.log+smi_sweep.txt" : "smi_sweep.txt";
+  if (choice != 0 && fs::remove(dst / kSmiFileName)) {
+    file = n != 0 ? std::string{kJobsFileName} + '+' : std::string{};
+    file += kSmiFileName;
     ++n;
   }
   return n;
@@ -288,7 +286,7 @@ std::size_t op_tdf_checksum_tamper(std::string& bytes, stats::Rng& rng) {
 /// masked by the earlier manifest checksum gate.
 void repatch_manifest_checksum(const fs::path& dst, std::string_view name,
                                std::string_view bytes) {
-  const auto manifest_path = dst / kManifest;
+  const auto manifest_path = dst / kManifestFileName;
   if (!fs::exists(manifest_path)) return;
   auto doc = split(read_file(manifest_path));
   const std::string prefix = "checksum " + std::string{name} + ' ';
@@ -340,7 +338,7 @@ std::size_t CorruptionSummary::total_mutations() const noexcept {
 
 CorruptionSummary corrupt_dataset(const fs::path& src, const fs::path& dst,
                                   const CorruptionSpec& spec) {
-  if (!fs::exists(src / kConsole) && !fs::exists(src / kTdf)) {
+  if (!fs::exists(src / kConsoleFileName) && !fs::exists(src / tdf::kTdfFileName)) {
     throw std::runtime_error{"corrupt_dataset: no dataset at " + src.string() +
                              " (missing console.log and dataset.tdf)"};
   }
@@ -362,14 +360,14 @@ CorruptionSummary corrupt_dataset(const fs::path& src, const fs::path& dst,
     // compile-time table lookup -- deterministic, but opaque to the
     // static manifest, so it carries an explicit waiver.
     auto rng = base.fork(op_name(op));  // titanlint: allow(stream-dynamic-label)
-    CorruptionSummary::OpResult result{op, std::string{kConsole}, 0};
+    CorruptionSummary::OpResult result{op, std::string{kConsoleFileName}, 0};
 
     // Whole-file and non-console operators first.
     if (op == CorruptionOp::kTruncateFile) {
-      if (fs::exists(dst / kConsole)) {
-        auto text = read_file(dst / kConsole);
+      if (fs::exists(dst / kConsoleFileName)) {
+        auto text = read_file(dst / kConsoleFileName);
         result.mutations = op_truncate_file(text, rng);
-        write_file(dst / kConsole, text);
+        write_file(dst / kConsoleFileName, text);
       }
       summary.applied.push_back(std::move(result));
       continue;
@@ -380,21 +378,21 @@ CorruptionSummary corrupt_dataset(const fs::path& src, const fs::path& dst,
       continue;
     }
     if (op == CorruptionOp::kMangleManifest || op == CorruptionOp::kChecksumMismatch) {
-      result.file = std::string{kManifest};
-      if (fs::exists(dst / kManifest)) {
-        auto doc = split(read_file(dst / kManifest));
+      result.file = std::string{kManifestFileName};
+      if (fs::exists(dst / kManifestFileName)) {
+        auto doc = split(read_file(dst / kManifestFileName));
         result.mutations = op == CorruptionOp::kMangleManifest
                                ? op_mangle_manifest(doc, rng)
                                : op_checksum_mismatch(doc);
-        write_file(dst / kManifest, doc.join());
+        write_file(dst / kManifestFileName, doc.join());
       }
       summary.applied.push_back(std::move(result));
       continue;
     }
     if (op_targets_tdf(op)) {
-      result.file = std::string{kTdf};
-      if (fs::exists(dst / kTdf)) {
-        auto bytes = read_file(dst / kTdf);
+      result.file = std::string{tdf::kTdfFileName};
+      if (fs::exists(dst / tdf::kTdfFileName)) {
+        auto bytes = read_file(dst / tdf::kTdfFileName);
         switch (op) {
           case CorruptionOp::kTdfTruncate:
             result.mutations = op_tdf_truncate(bytes, rng);
@@ -409,19 +407,19 @@ CorruptionSummary corrupt_dataset(const fs::path& src, const fs::path& dst,
             result.mutations = op_tdf_checksum_tamper(bytes, rng);
             break;
         }
-        write_file(dst / kTdf, bytes);
-        repatch_manifest_checksum(dst, kTdf, bytes);
+        write_file(dst / tdf::kTdfFileName, bytes);
+        repatch_manifest_checksum(dst, tdf::kTdfFileName, bytes);
       }
       summary.applied.push_back(std::move(result));
       continue;
     }
-    if (!fs::exists(dst / kConsole)) {
+    if (!fs::exists(dst / kConsoleFileName)) {
       // Text operator on a binary-only dataset: nothing to mutate.
       summary.applied.push_back(std::move(result));
       continue;
     }
 
-    auto doc = split(read_file(dst / kConsole));
+    auto doc = split(read_file(dst / kConsoleFileName));
     switch (op) {
       case CorruptionOp::kTruncateLines:
         result.mutations = op_truncate_lines(doc, rng, p);
@@ -453,7 +451,7 @@ CorruptionSummary corrupt_dataset(const fs::path& src, const fs::path& dst,
       default:
         break;  // handled above
     }
-    write_file(dst / kConsole, doc.join());
+    write_file(dst / kConsoleFileName, doc.join());
     summary.applied.push_back(std::move(result));
   }
   return summary;

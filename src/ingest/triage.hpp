@@ -196,6 +196,13 @@ class IngestReport {
 /// First line of every manifest written by study::write_dataset.
 inline constexpr std::string_view kDatasetManifestHeader = "titanrel-dataset v1";
 
+/// A dataset directory's file names: the manifest (the commit point) and
+/// the text layout's three logs, in the order the writer seals them.
+inline constexpr std::string_view kManifestFileName = "manifest.txt";
+inline constexpr std::string_view kConsoleFileName = "console.log";
+inline constexpr std::string_view kJobsFileName = "jobs.log";
+inline constexpr std::string_view kSmiFileName = "smi_sweep.txt";
+
 /// FNV-1a 64 over raw file bytes -- the manifest content checksum.
 [[nodiscard]] std::uint64_t content_checksum(std::string_view bytes) noexcept;
 

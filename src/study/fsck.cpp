@@ -115,9 +115,10 @@ FsckResult fsck_dataset(const fs::path& dir) {
   FsckResult out;
   ingest::ManifestIngest manifest;
   ingest::IngestReport parse_report{ingest::IngestPolicy::kSalvage};
-  const bool have_manifest = fs::exists(dir / "manifest.txt");
+  const bool have_manifest = fs::exists(dir / ingest::kManifestFileName);
   if (have_manifest) {
-    manifest = ingest::ingest_manifest_text(read_all(dir / "manifest.txt"), "manifest.txt",
+    manifest = ingest::ingest_manifest_text(read_all(dir / ingest::kManifestFileName),
+                                            ingest::kManifestFileName,
                                             ingest::IngestPolicy::kSalvage, parse_report);
   }
   const auto roster = tdf::container_roster(
@@ -125,7 +126,7 @@ FsckResult fsck_dataset(const fs::path& dir) {
   if (roster.binary()) {
     out.layout = roster.sharded() ? "sharded" : "binary";
   } else {
-    out.layout = fs::exists(dir / "console.log") ? "text" : "none";
+    out.layout = fs::exists(dir / ingest::kConsoleFileName) ? "text" : "none";
   }
 
   check_orphans(dir, out);

@@ -60,6 +60,11 @@ inline constexpr std::string_view kTdfFileName = "dataset.tdf";
   return "dataset.shard-" + std::to_string(shard) + ".tdf";
 }
 
+/// True for kTdfFileName and every shard_file_name(k).
+[[nodiscard]] inline bool is_container_file_name(std::string_view name) noexcept {
+  return name == kTdfFileName || (name.starts_with("dataset.shard-") && name.ends_with(".tdf"));
+}
+
 /// "TITANTDF" read as a little-endian u64 ('T' is the first file byte).
 inline constexpr std::uint64_t kTdfMagic = 0x4644544e41544954ULL;
 
