@@ -44,7 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "paper/paper.hpp"
 #include "study/io.hpp"
 #include "study/json.hpp"
 #include "study/registry.hpp"
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   }
   if (shards == 0) shards = 1;
 
-  bench::print_header("Campaign scale: sharded out-of-core generation vs in-memory");
+  paper::print_header("Campaign scale: sharded out-of-core generation vs in-memory");
 
   const std::uint64_t seed = quick ? 29 : core::default_config().seed;
   const auto config_of = [&](std::uint64_t replica) {
@@ -290,15 +290,16 @@ int main(int argc, char** argv) {
   const PhaseResult& sharded_16x = scales.back();
   std::printf("\n");
   bool ok = true;
-  ok &= bench::check("all phases completed", unsharded.ok && unsharded_16x.ok &&
-                                                 scales[0].ok && scales[1].ok && sharded_16x.ok);
-  ok &= bench::check("sharded 16x Titan covers >= 299,008 cards",
-                     sharded_16x.stats.cards >= 299008);
-  ok &= bench::check("sharded 16x: every replica worker under the fixed budget",
-                     sharded_16x.ok && sharded_16x.max_rss_mib < kRssBudgetMiB);
-  ok &= bench::check("unsharded 16x: peak replica worker busts the budget",
-                     unsharded_16x.ok && unsharded_16x.max_rss_mib > kRssBudgetMiB);
-  ok &= bench::check("sharded and unsharded 1x reports byte-identical", identical);
+  ok &= paper::print_verdict("all phases completed",
+                             unsharded.ok && unsharded_16x.ok && scales[0].ok && scales[1].ok &&
+                                 sharded_16x.ok);
+  ok &= paper::print_verdict("sharded 16x Titan covers >= 299,008 cards",
+                             sharded_16x.stats.cards >= 299008);
+  ok &= paper::print_verdict("sharded 16x: every replica worker under the fixed budget",
+                             sharded_16x.ok && sharded_16x.max_rss_mib < kRssBudgetMiB);
+  ok &= paper::print_verdict("unsharded 16x: peak replica worker busts the budget",
+                             unsharded_16x.ok && unsharded_16x.max_rss_mib > kRssBudgetMiB);
+  ok &= paper::print_verdict("sharded and unsharded 1x reports byte-identical", identical);
 
   if (!json_path.empty()) {
     auto doc = study::JsonValue::object();

@@ -13,8 +13,8 @@
 #include <string_view>
 #include <vector>
 
-#include "bench/common.hpp"
 #include "ingest/corrupt.hpp"
+#include "paper/paper.hpp"
 #include "par/pool.hpp"
 #include "study/registry.hpp"
 #include "study/source.hpp"
@@ -34,7 +34,7 @@ int main() {
   using namespace titan;
   constexpr std::uint64_t kSeed = 29;
 
-  bench::print_header("Ingest robustness: clean vs. corrupted dataset sweeps");
+  paper::print_header("Ingest robustness: clean vs. corrupted dataset sweeps");
 
   const auto root = fs::temp_directory_path() / "titanrel_bench_ingest";
   fs::remove_all(root);
@@ -53,11 +53,11 @@ int main() {
   std::printf("  clean strict load + sweep: %.2f s (%zu events, %zu analyses)\n",
               seconds_since(start), clean_context.events.size(),
               clean_report.results.size());
-  ok &= bench::check("clean strict load carries no ingest section",
-                     !clean_report.ingest.has_value() &&
-                         clean_report.text().find("-- ingest") == std::string::npos);
+  ok &= paper::print_verdict("clean strict load carries no ingest section",
+                             !clean_report.ingest.has_value() &&
+                                 clean_report.text().find("-- ingest") == std::string::npos);
 
-  bench::print_header("Per-operator salvage sweep (text operators)");
+  paper::print_header("Per-operator salvage sweep (text operators)");
   std::printf("  %-20s %9s %9s %9s  %s\n", "operator", "load s", "sweep s", "findings",
               "strict");
   for (const auto op : ingest::all_corruption_ops()) {
@@ -101,15 +101,15 @@ int main() {
     std::printf("  %-20s %9.3f %9.3f %9zu  %s\n",
                 std::string{ingest::op_name(op)}.c_str(), load_s, sweep_s,
                 salvaged ? context.ingest_report->total() : 0, strict_code.c_str());
-    ok &= bench::check(std::string{ingest::op_name(op)} +
-                           ": salvage context + non-empty report + full sweep",
-                       salvaged && swept && summary.total_mutations() > 0);
-    ok &= bench::check(std::string{ingest::op_name(op)} +
-                           ": strict rejects with named file and code",
-                       strict_rejected);
+    ok &= paper::print_verdict(std::string{ingest::op_name(op)} +
+                                   ": salvage context + non-empty report + full sweep",
+                               salvaged && swept && summary.total_mutations() > 0);
+    ok &= paper::print_verdict(std::string{ingest::op_name(op)} +
+                                   ": strict rejects with named file and code",
+                               strict_rejected);
   }
 
-  bench::print_header("Per-operator TDF sweep (binary container)");
+  paper::print_header("Per-operator TDF sweep (binary container)");
   const auto binary_dir = root / "clean_binary";
   {
     const auto truth = study::SimulatedSource{core::quick_config(kSeed)}.load();
@@ -156,14 +156,14 @@ int main() {
 
     std::printf("  %-20s %9.3f  %s\n", std::string{ingest::op_name(op)}.c_str(), load_s,
                 outcome.c_str());
-    ok &= bench::check(std::string{ingest::op_name(op)} +
-                           ": salvage names the TDF damage (never silent)",
-                       named && summary.total_mutations() > 0);
-    ok &= bench::check(std::string{ingest::op_name(op)} + ": strict rejects with a TDF code",
-                       strict_named);
+    ok &= paper::print_verdict(std::string{ingest::op_name(op)} +
+                                   ": salvage names the TDF damage (never silent)",
+                               named && summary.total_mutations() > 0);
+    ok &= paper::print_verdict(
+        std::string{ingest::op_name(op)} + ": strict rejects with a TDF code", strict_named);
   }
 
-  bench::print_header("Stacked operators, thread-width determinism");
+  paper::print_header("Stacked operators, thread-width determinism");
   const auto all = ingest::all_corruption_ops();
   ingest::CorruptionSpec stacked;
   stacked.ops.assign(all.begin(), all.end());
@@ -187,13 +187,13 @@ int main() {
   par::set_threads(4);
   const auto wide = registry.run_all(stacked_context);
   par::set_threads(saved_threads);
-  ok &= bench::check("stacked salvage sweep byte-identical at 1 vs 4 threads",
-                     narrow.text() == wide.text() && narrow.json() == wide.json());
-  ok &= bench::check("stacked report carries the ingest triage section",
-                     narrow.text().find("-- ingest") != std::string::npos);
+  ok &= paper::print_verdict("stacked salvage sweep byte-identical at 1 vs 4 threads",
+                             narrow.text() == wide.text() && narrow.json() == wide.json());
+  ok &= paper::print_verdict("stacked report carries the ingest triage section",
+                             narrow.text().find("-- ingest") != std::string::npos);
 
-  bench::print_header("Triage summary (stacked)");
-  bench::print_block(stacked_context.ingest_report->summary_text());
+  paper::print_header("Triage summary (stacked)");
+  paper::print_block(stacked_context.ingest_report->summary_text());
 
   fs::remove_all(root);
   return ok ? 0 : 1;

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "paper/paper.hpp"
 #include "study/comparative.hpp"
 #include "study/io.hpp"
 #include "study/registry.hpp"
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   }
   const auto base = quick ? core::quick_config(7) : core::default_config();
 
-  bench::print_header("Profile matrix: full analysis suite per fleet profile");
+  paper::print_header("Profile matrix: full analysis suite per fleet profile");
 
   struct ProfileRun {
     const profile::FleetProfile* fleet;
@@ -83,34 +83,34 @@ int main(int argc, char** argv) {
   comparison.seed = base.seed;
   for (auto& run : runs) comparison.columns.push_back({run.fleet, run.report});
 
-  bench::print_header("Comparison");
-  bench::print_block(comparison.text());
+  paper::print_header("Comparison");
+  paper::print_block(comparison.text());
 
-  bench::print_header("Checks");
+  paper::print_header("Checks");
   const std::size_t registered = study::AnalysisRegistry::standard().names().size();
   bool ok = true;
   for (const auto& run : runs) {
-    ok &= bench::check(std::string{run.fleet->name} + ": every registered analysis ran",
-                       run.analyses == registered);
+    ok &= paper::print_verdict(std::string{run.fleet->name} + ": every registered analysis ran",
+                               run.analyses == registered);
   }
   const auto& k20x_text = runs[0].report.text();
-  ok &= bench::check("k20x-titan report mentions page retirement, never row remapping",
-                     k20x_text.find("XID63") != std::string::npos &&
-                         k20x_text.find("REMAP") == std::string::npos);
+  ok &= paper::print_verdict("k20x-titan report mentions page retirement, never row remapping",
+                             k20x_text.find("XID63") != std::string::npos &&
+                                 k20x_text.find("REMAP") == std::string::npos);
   for (std::size_t i = 1; i < runs.size(); ++i) {
     const auto& text = runs[i].report.text();
-    ok &= bench::check(std::string{runs[i].fleet->name} +
-                           ": row remap, NVLink and SDC kinds appear in the report",
-                       text.find("REMAP") != std::string::npos &&
-                           text.find("XID74") != std::string::npos &&
-                           text.find("SDC") != std::string::npos);
-    ok &= bench::check(std::string{runs[i].fleet->name} + ": no page-retirement events",
-                       text.find("XID63") == std::string::npos);
+    ok &= paper::print_verdict(std::string{runs[i].fleet->name} +
+                                   ": row remap, NVLink and SDC kinds appear in the report",
+                               text.find("REMAP") != std::string::npos &&
+                                   text.find("XID74") != std::string::npos &&
+                                   text.find("SDC") != std::string::npos);
+    ok &= paper::print_verdict(std::string{runs[i].fleet->name} + ": no page-retirement events",
+                               text.find("XID63") == std::string::npos);
   }
-  ok &= bench::check("comparison table renders one column per profile",
-                     comparison.text().find("k20x-titan") != std::string::npos &&
-                         comparison.text().find("a100") != std::string::npos &&
-                         comparison.text().find("h100") != std::string::npos);
+  ok &= paper::print_verdict("comparison table renders one column per profile",
+                             comparison.text().find("k20x-titan") != std::string::npos &&
+                                 comparison.text().find("a100") != std::string::npos &&
+                                 comparison.text().find("h100") != std::string::npos);
 
   if (!json_path.empty()) {
     auto profiles = study::JsonValue::array();

@@ -7,7 +7,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench/common.hpp"
+#include "paper/paper.hpp"
 #include "study/registry.hpp"
 #include "study/source.hpp"
 
@@ -23,7 +23,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 int main() {
   using namespace titan;
 
-  bench::print_header("Study suite: frame-first pipeline over the full campaign");
+  paper::print_header("Study suite: frame-first pipeline over the full campaign");
 
   auto start = std::chrono::steady_clock::now();
   const study::SimulatedSource source{core::default_config()};
@@ -42,23 +42,23 @@ int main() {
               context.events.size(), context.frame.size(), report.text().size(),
               report.json().size());
 
-  bench::print_header("Report");
-  bench::print_block(report.text());
+  paper::print_header("Report");
+  paper::print_block(report.text());
 
-  bench::print_header("Checks");
+  paper::print_header("Checks");
   bool ok = true;
-  ok &= bench::check("all ten analyses available on a simulated context",
-                     report.results.size() == registry.names().size());
+  ok &= paper::print_verdict("all ten analyses available on a simulated context",
+                             report.results.size() == registry.names().size());
   const auto rerun = registry.run_all(context);
-  ok &= bench::check("second sweep reproduces the report text bytes",
-                     rerun.text() == report.text());
-  ok &= bench::check("second sweep reproduces the report json bytes",
-                     rerun.json() == report.json());
-  ok &= bench::check("every section rendered non-empty text", [&] {
-    for (const auto& result : report.results) {
-      if (result.text.empty()) return false;
-    }
-    return true;
-  }());
+  ok &= paper::print_verdict("second sweep reproduces the report text bytes",
+                             rerun.text() == report.text());
+  ok &= paper::print_verdict("second sweep reproduces the report json bytes",
+                             rerun.json() == report.json());
+  ok &= paper::print_verdict("every section rendered non-empty text", [&] {
+            for (const auto& result : report.results) {
+              if (result.text.empty()) return false;
+            }
+            return true;
+          }());
   return ok ? 0 : 1;
 }

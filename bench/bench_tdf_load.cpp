@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "paper/paper.hpp"
 #include "study/io.hpp"
 #include "study/json.hpp"
 #include "study/registry.hpp"
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   }
   if (reps < 1) reps = 1;
 
-  bench::print_header("Dataset load path: text artifacts vs TDF binary container");
+  paper::print_header("Dataset load path: text artifacts vs TDF binary container");
 
   const auto config = quick ? core::quick_config(29) : core::default_config();
   std::fprintf(stderr, "[titanrel] simulating fixture campaign (seed %llu%s)...\n",
@@ -152,11 +152,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   bool ok = true;
-  ok &= bench::check("binary load >= 5x faster than text", speedup >= 5.0);
-  ok &= bench::check("text and binary reports byte-identical (text)",
-                     text_report.text() == binary_report.text());
-  ok &= bench::check("text and binary reports byte-identical (json)",
-                     text_report.json() == binary_report.json());
+  ok &= paper::print_verdict("binary load >= 5x faster than text", speedup >= 5.0);
+  ok &= paper::print_verdict("text and binary reports byte-identical (text)",
+                             text_report.text() == binary_report.text());
+  ok &= paper::print_verdict("text and binary reports byte-identical (json)",
+                             text_report.json() == binary_report.json());
 
   if (!json_path.empty()) {
     auto doc = study::JsonValue::object();

@@ -15,8 +15,13 @@
 #                (-fno-sanitize-recover=all) and run ctest under it
 #   --tsan       add a build under TITANREL_SANITIZE=thread and run the
 #                concurrency-bearing suites (titan::par pool, the study
-#                pipeline, the sharded out-of-core driver, and the
-#                determinism gates) under it
+#                pipeline, the sharded out-of-core driver, the
+#                determinism gates, and paper_shapes_test -- every paper
+#                entry at pool width 4, the only suite that runs
+#                filter_events, FailurePredictor, utilization_study and
+#                the bootstrap CI there; its ablation case is skipped, as
+#                its nine campaigns add ~60 s under TSan and only rerun
+#                the simulator determinism_test already covers) under it
 #   --corrupt    run the ingest robustness gate: generate a dataset, apply
 #                every corruption operator, and run the salvage sweep
 #                (bench_ingest_robustness), plus an explicit titanlint
@@ -138,12 +143,13 @@ if [[ "$TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTITANREL_SANITIZE=thread -DTITANREL_WERROR=ON
   cmake --build build-tsan -j "$JOBS" --target \
     par_pool_test study_pipeline_test study_sharded_test \
-    determinism_test profile_determinism_test
+    determinism_test profile_determinism_test paper_shapes_test
   ./build-tsan/tests/par_pool_test
   ./build-tsan/tests/study_pipeline_test
   ./build-tsan/tests/study_sharded_test
   ./build-tsan/tests/determinism_test
   ./build-tsan/tests/profile_determinism_test
+  ./build-tsan/tests/paper_shapes_test --gtest_filter=-PaperShapes.AblationChecksPass
 fi
 
 if [[ "$UBSAN" == 1 ]]; then

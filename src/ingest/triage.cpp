@@ -20,7 +20,7 @@ constexpr std::string_view kCodeNames[kTriageCodeCount] = {
     "E_TDF_UNKNOWN_SEGMENT", "E_FILE_TOO_LARGE",  "E_TDF_MMAP_UNAVAILABLE",
     "E_PROFILE_MISMATCH",  "E_ORPHAN_TMP",       "E_PARTIAL_SHARD_SET",
     "E_CKPT_HEADER",       "E_CKPT_FIELD",       "E_CKPT_CHECKSUM",
-    "E_CKPT_MISMATCH",     "E_CKPT_INCOMPLETE",
+    "E_CKPT_MISMATCH",     "E_CKPT_INCOMPLETE",  "E_UNCLAIMED_CONTAINER",
 };
 
 constexpr std::string_view kActionNames[kSalvageActionCount] = {
@@ -140,6 +140,7 @@ bool fatal_in_strict(TriageCode code) noexcept {
     case TriageCode::kCkptChecksum:
     case TriageCode::kCkptMismatch:
     case TriageCode::kCkptIncomplete:
+    case TriageCode::kUnclaimedContainer:
       return true;
     case TriageCode::kLineCrlf:
     case TriageCode::kFileUnterminated:

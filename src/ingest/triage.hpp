@@ -83,6 +83,8 @@ enum class TriageCode : std::uint8_t {
                      ///< (seed, profile hash, shard plan)
   kCkptIncomplete,   ///< checkpoint present but no committed manifest:
                      ///< generation was interrupted mid-write
+  kUnclaimedContainer,  ///< binary container on disk the manifest does
+                        ///< not claim (a stale or foreign layout; never read)
   kCount_,
 };
 

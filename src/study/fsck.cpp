@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -95,7 +94,7 @@ std::vector<FsckFinding> manifest_findings(const fs::path& dir,
   }
   for (const auto& mismatch : roster.mismatches) {
     if (mismatch.missing && claims_checksum(manifest, mismatch.file)) continue;
-    out.push_back({mismatch.file, TriageCode::kPartialShardSet, mismatch.detail});
+    out.push_back({mismatch.file, mismatch.code, mismatch.detail});
   }
   return out;
 }
@@ -121,8 +120,7 @@ FsckResult fsck_dataset(const fs::path& dir) {
                                             ingest::kManifestFileName,
                                             ingest::IngestPolicy::kSalvage, parse_report);
   }
-  const auto roster = tdf::container_roster(
-      dir, manifest.have_shards ? std::optional{manifest.shards} : std::nullopt);
+  const auto roster = tdf::container_roster(dir, have_manifest ? &manifest : nullptr);
   if (roster.binary()) {
     out.layout = roster.sharded() ? "sharded" : "binary";
   } else {

@@ -6,8 +6,9 @@
 // loader would reject?  It walks the same evidence the loaders do --
 // orphan *.tmp files, a study.ckpt with no committed manifest, and
 // manifest_findings, the claim walk DatasetSource::load runs too
-// (checksum claims, hashing the TDF containers the load skips, and the
-// shard roster against the `shards N` claim) -- and reports every
+// (checksum claims, hashing the TDF containers the load skips, the
+// shard roster against the `shards N` claim, and containers the manifest
+// does not claim) -- and reports every
 // finding with its triage code.  The report text is byte-stable for a
 // given directory state (no absolute paths, deterministic ordering), so
 // it can be golden-tested and diffed across runs.
@@ -49,9 +50,10 @@ struct FsckResult {
 ///     content mismatch E_CHECKSUM_MISMATCH.  `.tdf` containers are
 ///     hashed only with `hash_containers` (a container self-validates
 ///     every byte a load decodes);
-///   * then each roster mismatch with the `shards N` claim
-///     (E_PARTIAL_SHARD_SET), except a missing container the checksum
-///     walk already named.
+///   * then each roster mismatch: a disagreement with the `shards N`
+///     claim (E_PARTIAL_SHARD_SET), except a missing container the
+///     checksum walk already named, and a container on disk the manifest
+///     does not claim (E_UNCLAIMED_CONTAINER).
 [[nodiscard]] std::vector<FsckFinding> manifest_findings(const std::filesystem::path& dir,
                                                          const ingest::ManifestIngest& manifest,
                                                          const tdf::ContainerRoster& roster,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -331,10 +330,10 @@ StudyContext DatasetSource::load() const {
                                             policy_, report);
   }
   // Binary containers take precedence: they are the format written for
-  // exactly this load path (mmap + columnar decode), a monolithic
-  // dataset.tdf before shards.  Text artifacts are the fallback.
-  const auto roster = tdf::container_roster(
-      dir_, manifest.have_shards ? std::optional{manifest.shards} : std::nullopt);
+  // exactly this load path (mmap + columnar decode).  The manifest, when
+  // committed, names which containers exist; a container it does not
+  // claim is never read.  Text artifacts are the fallback.
+  const auto roster = tdf::container_roster(dir_, have_manifest ? &manifest : nullptr);
   if (!roster.binary() && !fs::exists(dir_ / ingest::kConsoleFileName)) {
     // Fatal under either policy: with no container and no console log
     // there is nothing to salvage a study from.

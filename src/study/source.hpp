@@ -51,10 +51,11 @@ class SimulatedSource final : public StudySource {
 /// Ingests a dataset directory written by write_dataset or the sharded
 /// producers (or any producer of the same formats).  Binary containers,
 /// when present, are preferred: the tdf::container_roster of the
-/// directory (a `dataset.tdf`, else the `dataset.shard-K.tdf` run
-/// reconciled with the manifest's `shards N` claim) is streamed window by
-/// window and k-way merged into the global event order, so a monolithic
-/// and a sharded dataset of one study load byte-identically.  Otherwise
+/// directory (what the manifest claims, else a `dataset.tdf` or the
+/// `dataset.shard-K.tdf` run; an unclaimed container is never read) is
+/// streamed window by window and k-way merged into the global event
+/// order, so a monolithic and a sharded dataset of one study load
+/// byte-identically.  Otherwise
 /// the text artifacts are loaded: console.log is required;
 /// jobs.log, smi_sweep.txt and manifest.txt are optional (capabilities
 /// shrink accordingly; without a manifest the period is inferred from the
@@ -64,7 +65,8 @@ class SimulatedSource final : public StudySource {
 /// Under IngestPolicy::kStrict (the default) structural corruption --
 /// checksum mismatches, manifest damage, NUL/overlong lines, timestamp
 /// regressions, a manifest-claimed file gone missing, a shard claim the
-/// containers on disk disagree with -- throws
+/// containers on disk disagree with, a container the manifest does not
+/// claim -- throws
 /// ingest::IngestError naming file, line and taxonomy code.  Under
 /// kSalvage the load repairs what it can, quarantines the rest, and
 /// attaches the full ingest::IngestReport to the context.

@@ -799,30 +799,47 @@ EventWindow merge_event_streams(std::span<SegmentReader> readers) {
   return out;
 }
 
-ContainerRoster container_roster(const fs::path& dir,
-                                 std::optional<std::uint64_t> claimed_shards) {
+ContainerRoster container_roster(const fs::path& dir, const ingest::ManifestIngest* manifest) {
   ContainerRoster roster;
-  if (fs::exists(dir / std::string{kTdfFileName})) {
-    roster.layout = ContainerRoster::Layout::kMonolithic;
-    roster.files.emplace_back(kTdfFileName);
-    return roster;
-  }
+  const std::string mono{kTdfFileName};
   std::size_t on_disk = 0;
   while (fs::exists(dir / shard_file_name(on_disk))) ++on_disk;
+
+  // With a manifest only the containers it claims are read; without one
+  // the directory is probed (a dataset.tdf before shards).
+  const auto unclaimed = [&](std::string file) {
+    roster.mismatches.push_back({std::move(file),
+                                 "container on disk that the manifest does not claim (not read)",
+                                 false, ingest::TriageCode::kUnclaimedContainer});
+  };
+  if (manifest != nullptr && !manifest->have_shards) {
+    for (std::size_t s = 0; s < on_disk; ++s) unclaimed(shard_file_name(s));
+    on_disk = 0;
+  }
+  if (fs::exists(dir / mono)) {
+    if (manifest == nullptr || std::ranges::any_of(manifest->checksums, [&](const auto& claim) {
+          return claim.first == mono;
+        })) {
+      roster.layout = ContainerRoster::Layout::kMonolithic;
+      roster.files.push_back(mono);
+      return roster;
+    }
+    unclaimed(mono);
+  }
   if (on_disk == 0) return roster;
   roster.layout = ContainerRoster::Layout::kSharded;
 
   std::size_t take = on_disk;
-  if (claimed_shards) {
-    const auto claim = std::to_string(*claimed_shards);
-    if (*claimed_shards < on_disk) {
-      take = static_cast<std::size_t>(*claimed_shards);
+  if (manifest != nullptr) {
+    const auto claim = std::to_string(manifest->shards);
+    if (manifest->shards < on_disk) {
+      take = static_cast<std::size_t>(manifest->shards);
       for (std::size_t s = take; s < on_disk; ++s) {
         roster.mismatches.push_back(
             {shard_file_name(s),
              "shard container beyond the manifest's declared count of " + claim, false});
       }
-    } else if (*claimed_shards > on_disk) {
+    } else if (manifest->shards > on_disk) {
       roster.mismatches.push_back(
           {shard_file_name(on_disk),
            "manifest declares " + claim + " shards but the shard containers on disk stop at " +

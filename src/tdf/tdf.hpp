@@ -219,14 +219,15 @@ class SegmentReader {
 /// readers' event windows; side segments stay readable.
 [[nodiscard]] EventWindow merge_event_streams(std::span<SegmentReader> readers);
 
-/// A dataset directory's containers, in stream order, reconciled with
-/// the manifest's `shards N` claim.  A monolithic dataset.tdf takes
-/// precedence and is a one-container roster (the claim describes shard
-/// layouts only).  Otherwise the roster is the contiguous run of
-/// dataset.shard-K.tdf files from K = 0, cut to the claim when the claim
-/// is smaller.  Each disagreement between the claim and that run is one
-/// E_PARTIAL_SHARD_SET mismatch.  Nothing is sized by the claim, so an
-/// absurd count costs nothing.
+/// A dataset directory's containers, in stream order, as the manifest
+/// claims them: a `checksum dataset.tdf` line is a one-container roster,
+/// a `shards N` line the contiguous run of dataset.shard-K.tdf files from
+/// K = 0, cut to the claim when the claim is smaller.  Each disagreement
+/// between that claim and the run is one E_PARTIAL_SHARD_SET mismatch;
+/// each container on disk the manifest does not claim is one (never
+/// read) E_UNCLAIMED_CONTAINER mismatch.  A null `manifest` probes the
+/// directory: a dataset.tdf first, else the whole shard run.  Nothing is
+/// sized by the claim, so an absurd count costs nothing.
 struct ContainerRoster {
   enum class Layout { kNone, kMonolithic, kSharded };
 
@@ -234,6 +235,7 @@ struct ContainerRoster {
     std::string file;
     std::string detail;
     bool missing = false;  ///< the claim names this container; the disk lacks it
+    ingest::TriageCode code = ingest::TriageCode::kPartialShardSet;
   };
 
   Layout layout = Layout::kNone;
@@ -244,8 +246,8 @@ struct ContainerRoster {
   [[nodiscard]] bool sharded() const noexcept { return layout == Layout::kSharded; }
 };
 
-[[nodiscard]] ContainerRoster container_roster(
-    const std::filesystem::path& dir, std::optional<std::uint64_t> claimed_shards = {});
+[[nodiscard]] ContainerRoster container_roster(const std::filesystem::path& dir,
+                                               const ingest::ManifestIngest* manifest = nullptr);
 
 /// Container inspection for `titan-convert --info`: header fields plus
 /// the segment table, without decoding the columns.

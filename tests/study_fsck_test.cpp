@@ -1,8 +1,9 @@
 // Crash-state detection at the dataset boundary: the read-only fsck
 // report (titan-convert --fsck) and the loader's crash gate.  A clean
 // dataset reports clean with a byte-stable report; orphan tmp files,
-// a checkpoint outliving its run, a hole in the shard roster and a
-// checksum divergence each surface as the right named finding.  The
+// a checkpoint outliving its run, a hole in the shard roster, a
+// container the manifest does not claim and a checksum divergence each
+// surface as the right named finding.  The
 // loader gate mirrors the taxonomy: orphan tmps quarantine under
 // salvage (E_ORPHAN_TMP recorded) and throw under strict; a checkpoint
 // without a manifest is fatal under BOTH policies (E_CKPT_INCOMPLETE --
@@ -113,6 +114,31 @@ TEST(StudyFsck, ShardBeyondTheDeclaredCountIsNamed) {
   const auto result = study::fsck_dataset(dir);
   EXPECT_FALSE(result.clean());
   EXPECT_TRUE(has_finding(result, TriageCode::kPartialShardSet)) << result.report_text();
+}
+
+TEST(StudyFsck, ContainerTheManifestDoesNotClaimIsNamed) {
+  // A seed-29 container copied in as the dataset.tdf of a committed
+  // seed-31 text dataset: the layout is the claimed one, and the stray
+  // container is a finding.
+  const auto text_dir = scratch_root() / "unclaimed_text";
+  const auto b = study::SimulatedSource{core::quick_config(31)}.load();
+  study::write_dataset(b, text_dir, study::DatasetFormat::kText);
+  const std::string stray{tdf::kTdfFileName};
+  fs::copy_file(damaged_copy("unclaimed_source") / tdf::shard_file_name(0), text_dir / stray);
+  auto result = study::fsck_dataset(text_dir);
+  EXPECT_EQ(result.layout, "text");
+  ASSERT_EQ(result.findings.size(), 1U) << result.report_text();
+  EXPECT_EQ(result.findings[0].code, TriageCode::kUnclaimedContainer);
+  EXPECT_EQ(result.findings[0].file, stray);
+
+  // A stale dataset.tdf beside a claimed 3-shard set.
+  const auto sharded = damaged_copy("unclaimed_beside_shards");
+  fs::copy_file(text_dir / stray, sharded / stray);
+  result = study::fsck_dataset(sharded);
+  EXPECT_EQ(result.layout, "sharded");
+  ASSERT_EQ(result.findings.size(), 1U) << result.report_text();
+  EXPECT_EQ(result.findings[0].code, TriageCode::kUnclaimedContainer);
+  EXPECT_EQ(result.findings[0].file, stray);
 }
 
 TEST(StudyFsck, CheckpointWithoutManifestIsNamedIncomplete) {

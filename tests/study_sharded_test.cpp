@@ -4,8 +4,9 @@
 // SegmentReader equivalence at tiny windows, and the sharded layout's
 // failure taxonomy (corrupt shard named, missing shard fatal, meta
 // window disagreement named, the manifest's shard claim reconciled with
-// the containers on disk), and the commit protocol's stale-layout rule
-// (a rewrite studies what it wrote, never what an older layout left).
+// the containers on disk, a container the manifest does not claim never
+// read), and the commit protocol's stale-layout rule (a rewrite studies
+// what it wrote, never what an older layout left).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -413,6 +414,52 @@ TEST(StudySharded, AbsurdShardClaimIsAFindingNotAnAllocation) {
   ASSERT_EQ(fsck.findings.size(), 1U) << fsck.report_text();
   EXPECT_EQ(fsck.findings[0].code, TriageCode::kPartialShardSet);
   EXPECT_EQ(fsck.findings[0].file, tdf::shard_file_name(3));
+}
+
+/// `stray` (a container the manifest of `dir` does not claim) sits in
+/// `dir`: a strict load names it, a salvage load records it and studies
+/// exactly what `reference` (the claimed layout alone) studies, and
+/// fsck names it too.
+void expect_unclaimed_container(const fs::path& dir, const std::string& stray,
+                                const fs::path& reference) {
+  try {
+    (void)study::DatasetSource{dir, IngestPolicy::kStrict}.load();
+    ADD_FAILURE() << "a strict load read a container the manifest does not claim";
+  } catch (const IngestError& error) {
+    EXPECT_EQ(error.code(), TriageCode::kUnclaimedContainer) << ingest::code_name(error.code());
+    EXPECT_EQ(error.file(), stray);
+  }
+  const auto salvaged = study::DatasetSource{dir, IngestPolicy::kSalvage}.load();
+  ASSERT_TRUE(salvaged.ingest_report.has_value());
+  EXPECT_EQ(salvaged.ingest_report->count(TriageCode::kUnclaimedContainer), 1U);
+  EXPECT_EQ(salvaged.events, study::DatasetSource{reference}.load().events);
+
+  const auto fsck = study::fsck_dataset(dir);
+  ASSERT_EQ(fsck.findings.size(), 1U) << fsck.report_text();
+  EXPECT_EQ(fsck.findings[0].code, TriageCode::kUnclaimedContainer);
+  EXPECT_EQ(fsck.findings[0].file, stray);
+}
+
+TEST(StudySharded, TheManifestDecidesWhichContainersLoad) {
+  constexpr std::uint64_t kOtherSeed = 31;
+  const auto b = study::SimulatedSource{core::quick_config(kOtherSeed)}.load();
+  const std::string stray{tdf::kTdfFileName};
+
+  // A seed-29 dataset.tdf copied into a committed seed-31 text dataset.
+  const auto text_reference = scratch_root() / "unclaimed_text_reference";
+  const auto text_dir = scratch_root() / "unclaimed_beside_text";
+  study::write_dataset(b, text_reference, study::DatasetFormat::kText);
+  study::write_dataset(b, text_dir, study::DatasetFormat::kText);
+  fs::copy_file(monolithic_dir() / stray, text_dir / stray);
+  expect_unclaimed_container(text_dir, stray, text_reference);
+
+  // A stale seed-31 dataset.tdf beside a claimed seed-29 3-shard set.
+  const auto stale = scratch_root() / "unclaimed_stale_monolithic";
+  study::write_dataset(b, stale, study::DatasetFormat::kBinary);
+  const auto sharded = scratch_root() / "unclaimed_beside_shards";
+  fs::copy(sharded_dir(3), sharded);
+  fs::copy_file(stale / stray, sharded / stray);
+  expect_unclaimed_container(sharded, stray, sharded_dir(3));
 }
 
 /// Strict-load report of a dataset directory, text and JSON.
